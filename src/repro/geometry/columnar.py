@@ -5,8 +5,26 @@ conduit rectangle? — is the hottest geometric test in the system: every
 broadcast evaluates it once per building on the packet's route region.
 The scalar path (:meth:`repro.geometry.ConduitRect.intersects_polygon`)
 walks Python ``Point`` objects edge by edge; this module evaluates the
-*same* predicate over every footprint of a city at once from flat numpy
-arrays.
+*same* predicate for a whole conduit path against every footprint of a
+city in one pass over flat numpy arrays.
+
+How a path is evaluated
+-----------------------
+
+1. :class:`PolygonColumns` holds a uniform bucket grid over the
+   footprint bounding boxes (built on first use, numpy only).  Every
+   rectangle's bounding box is looked up in it at once, giving the
+   (rectangle, footprint) pairs whose boxes come within
+   ``_BBOX_MARGIN`` of each other — a few hundred pairs for a
+   50-rectangle route over 20 000 footprints, instead of four
+   city-sized comparisons per rectangle.
+2. The three clauses of the scalar predicate run once each over the
+   concatenated lanes of those pairs, with each rectangle's scalars
+   repeated along its lanes: (A) a footprint vertex inside the
+   rectangle, (B) a rectangle corner inside the footprint, (C) a
+   footprint edge crossing a rectangle edge.  A pair decided by an
+   earlier clause — or whose footprint another rectangle already
+   claimed — is left out of the later ones.
 
 Equivalence contract
 --------------------
@@ -15,18 +33,22 @@ Equivalence contract
 ``path.intersects_polygon(polygon)`` per polygon.  That holds because
 
 - every per-rectangle scalar (corners, ``denom``, ``denom ** 0.5``) is
-  computed by the *scalar* code path and broadcast into the arrays, so
-  ``math.hypot``/``x ** 0.5`` rounding is shared, not re-derived;
-- the remaining vector arithmetic (``+ - * /``, ``abs``, comparisons,
-  ``np.sqrt`` vs ``** 0.5``, ``np.hypot`` vs ``math.hypot``) is IEEE-754
-  double precision with identical expression shapes, so each lane
-  reproduces the scalar result exactly;
-- the bounding-box prefilter is conservative: it keeps every polygon
-  whose bbox comes within ``_BBOX_MARGIN`` of the rectangle's bbox,
-  a superset of anything the exact clauses (which use 1e-9/1e-12
-  boundary slop) can accept;
+  computed by the *scalar* code path and gathered into the lanes, so
+  ``math.hypot``/``x ** 0.5`` rounding is shared, not re-derived
+  (``np.hypot``/``np.sqrt`` differ from them in the last bit about
+  once in a thousand values);
+- the remaining vector arithmetic (``+ - * /``, ``abs``, comparisons)
+  is IEEE-754 double precision with identical expression shapes, so
+  each lane reproduces the scalar result exactly.  The one exception
+  is the ``np.hypot`` in the on-boundary clause, compared against
+  1e-9: a last-bit difference there would need a distance within
+  ~2e-25 of the threshold to matter;
+- the grid lookup and the bounding-box prefilter are conservative: they
+  keep every polygon whose bbox comes within ``_BBOX_MARGIN`` of the
+  rectangle's bbox, a superset of anything the exact clauses (which
+  use 1e-9/1e-12 boundary slop) can accept;
 - degenerate (zero-length) conduit rectangles fall back to the scalar
-  predicate outright.
+  predicate outright: the disc test is all ``math.hypot``.
 
 ``tests/test_columnar_geometry.py`` holds the property suite pinning
 this contract down, including collinear/touching adversarial cases.
@@ -34,6 +56,7 @@ this contract down, including collinear/touching adversarial cases.
 
 from __future__ import annotations
 
+from math import hypot
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -47,6 +70,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # (collinear on-segment test) outside the true shapes; 1e-6 dominates
 # both with room to spare and costs nothing.
 _BBOX_MARGIN = 1e-6
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lanes for ``counts[i]`` items per owner: ``(owner, position)``.
+
+    ``owner`` repeats ``i`` ``counts[i]`` times and ``position`` runs
+    ``0..counts[i]-1`` within each owner, so ``starts[owner] + position``
+    concatenates ``arange(starts[i], starts[i] + counts[i])``.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - first[owner]
 
 
 class PolygonColumns:
@@ -71,6 +106,7 @@ class PolygonColumns:
         "max_x",
         "max_y",
         "owner",
+        "_grid",
     )
 
     def __init__(self, polygons: Sequence["Polygon"]):
@@ -110,42 +146,162 @@ class PolygonColumns:
         self.max_y = bboxes[:, 3]
         #: id of each vertex's owning polygon, aligned with ``vx``.
         self.owner = np.repeat(np.arange(self.count, dtype=np.int64), counts)
+        self._grid = None
 
     def __len__(self) -> int:
         return self.count
 
+    def bbox_candidates(
+        self,
+        min_x: np.ndarray,
+        min_y: np.ndarray,
+        max_x: np.ndarray,
+        max_y: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every (box, polygon) pair whose bounding boxes overlap.
 
-def _rect_bbox(corners) -> tuple[float, float, float, float]:
-    xs = [c.x for c in corners]
-    ys = [c.y for c in corners]
-    return min(xs), min(ys), max(xs), max(ys)
+        The boxes are arrays of equal length; the result is two aligned
+        index arrays ``(box, row)``, each pair once, in no useful order.
+        Closed-interval overlap, decided by the same four comparisons a
+        full scan would make — the grid only narrows what they run on.
+        """
+        if self.count == 0 or len(min_x) == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        if self._grid is None:
+            self._grid = _BBoxGrid(self)
+        box, row = self._grid.lookup(min_x, min_y, max_x, max_y)
+        overlap = (
+            (self.max_x[row] >= min_x[box])
+            & (self.min_x[row] <= max_x[box])
+            & (self.max_y[row] >= min_y[box])
+            & (self.min_y[row] <= max_y[box])
+        )
+        # A footprint spanning several cells was gathered once per cell.
+        pairs = np.unique(box[overlap] * self.count + row[overlap])
+        return pairs // self.count, pairs % self.count
+
+
+class _BBoxGrid:
+    """Uniform bucket grid over footprint bounding boxes, in CSR form.
+
+    ``rows[starts[c]:starts[c + 1]]`` are the polygons whose bbox
+    touches cell ``c`` (row-major, ``nx`` cells per row).  The cell side
+    is twice the mean larger bbox side, so a typical footprint lands in
+    one to four cells; it is widened when needed to keep the grid at a
+    few cells per footprint however sparse the city is.
+    """
+
+    __slots__ = ("x0", "y0", "cell", "nx", "ny", "starts", "rows")
+
+    def __init__(self, cols: PolygonColumns):
+        self.x0 = float(cols.min_x.min())
+        self.y0 = float(cols.min_y.min())
+        extent_x = float(cols.max_x.max()) - self.x0
+        extent_y = float(cols.max_y.max()) - self.y0
+        sides = np.maximum(cols.max_x - cols.min_x, cols.max_y - cols.min_y)
+        self.cell = max(
+            2.0 * float(sides.mean()),
+            max(extent_x, extent_y) / (4.0 * cols.count) ** 0.5,
+        ) or 1.0
+        self.nx = int(extent_x / self.cell) + 1
+        self.ny = int(extent_y / self.cell) + 1
+        row, cell = self._cells(cols.min_x, cols.min_y, cols.max_x, cols.max_y)
+        self.rows = row[np.argsort(cell, kind="stable")]
+        self.starts = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=self.nx * self.ny), out=self.starts[1:])
+
+    def _index(self, v: np.ndarray, origin: float, n: int) -> np.ndarray:
+        return np.clip(np.floor((v - origin) / self.cell), 0, n - 1).astype(np.int64)
+
+    def _cells(self, min_x, min_y, max_x, max_y) -> tuple[np.ndarray, np.ndarray]:
+        """``(box, cell)`` for every grid cell each box touches.
+
+        Boxes are clamped to the grid, so one lying outside the city
+        lands on border cells; the caller's exact comparison drops it.
+        Flooring is monotone, hence two boxes that overlap always share
+        a cell.
+        """
+        ix0 = self._index(min_x, self.x0, self.nx)
+        ix1 = self._index(max_x, self.x0, self.nx)
+        iy0 = self._index(min_y, self.y0, self.ny)
+        iy1 = self._index(max_y, self.y0, self.ny)
+        span = ix1 - ix0 + 1
+        box, k = _expand(span * (iy1 - iy0 + 1))
+        return box, (iy0[box] + k // span[box]) * self.nx + ix0[box] + k % span[box]
+
+    def lookup(self, min_x, min_y, max_x, max_y) -> tuple[np.ndarray, np.ndarray]:
+        """``(box, row)`` for every polygon sharing a cell with each box
+        (a superset of the overlapping pairs, with repeats)."""
+        box, cell = self._cells(min_x, min_y, max_x, max_y)
+        starts = self.starts[cell]
+        hit, k = _expand(self.starts[cell + 1] - starts)
+        return box[hit], self.rows[starts[hit] + k]
 
 
 def _contains_lanes(
     rect: "ConduitRect", px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``rect.contains(Point(px, py))`` for a non-degenerate rect.
-
-    Mirrors the scalar arithmetic exactly: per-rect scalars (``denom``
-    and its square root) come from the same Python expressions the
-    scalar path evaluates.
-    """
+    """Vectorized ``rect.contains(Point(px, py))`` for a non-degenerate rect."""
     dx = rect.end.x - rect.start.x
     dy = rect.end.y - rect.start.y
     denom = dx * dx + dy * dy
-    half_w = rect.width / 2.0
-    root = denom**0.5
-    vx = px - rect.start.x
-    vy = py - rect.start.y
+    return _contains(
+        rect.start.x, rect.start.y, dx, dy, denom, denom**0.5, rect.width / 2.0, px, py
+    )
+
+
+def _contains(sx, sy, dx, dy, denom, root, half_w, px, py) -> np.ndarray:
+    """``ConduitRect.contains`` lane by lane, for non-degenerate rects.
+
+    The rect scalars may be floats (one rect) or arrays aligned with
+    ``px``/``py`` (a rect per lane).  Mirrors the scalar arithmetic
+    exactly; see :func:`_rect_scalars` for where the scalars come from.
+    """
+    vx = px - sx
+    vy = py - sy
     t = (vx * dx + vy * dy) / denom
     lateral = np.abs(vx * dy - vy * dx) / root
     return (t >= 0.0) & (t <= 1.0) & (lateral <= half_w)
 
 
+def _rect_scalars(
+    rects: Sequence["ConduitRect"],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-rect scalars, one column per rect: ``(contains, corner_x, corner_y)``.
+
+    ``contains`` has the seven rows :func:`_contains` takes (``start.x,
+    start.y, dx, dy, denom, denom ** 0.5, width / 2``); ``corner_x`` and
+    ``corner_y`` have four rows each, in :meth:`ConduitRect.corners`
+    order and by its arithmetic written out on plain floats.  Python's
+    ``**`` and ``math.hypot`` round differently from their numpy
+    namesakes, so these are evaluated here, once per rect, exactly as
+    the scalar predicate does — the lanes only ever gather them.
+    """
+    table = []
+    for rect in rects:
+        sx, sy = rect.start.x, rect.start.y
+        ex, ey = rect.end.x, rect.end.y
+        dx = ex - sx
+        dy = ey - sy
+        denom = dx * dx + dy * dy
+        half_w = rect.width / 2.0
+        norm = hypot(dx, dy)
+        nx = -(dy / norm) * half_w
+        ny = dx / norm * half_w
+        table.append(
+            (sx, sy, dx, dy, denom, denom**0.5, half_w,
+             sx + nx, ex + nx, ex - nx, sx - nx,
+             sy + ny, ey + ny, ey - ny, sy - ny)
+        )
+    columns = np.array(table, dtype=np.float64).reshape(len(rects), 15).T
+    return columns[:7], columns[7:11], columns[11:]
+
+
 def _point_in_polygon_lanes(
-    cols: PolygonColumns, rows: np.ndarray, cx: float, cy: float
+    cols: PolygonColumns, rows: np.ndarray, cx: np.ndarray, cy: np.ndarray
 ) -> np.ndarray:
-    """``polygon.contains(Point(cx, cy))`` for each polygon row in ``rows``.
+    """``polygon.contains(Point(cx[i], cy[i]))`` for polygon ``rows[i]``.
 
     Replicates the scalar test clause by clause: bbox gate, boundary
     proximity (distance to any edge < 1e-9), then even-odd ray casting.
@@ -161,14 +317,14 @@ def _point_in_polygon_lanes(
     if not inside_bbox.any():
         return result
     active = rows[inside_bbox]
-    # Edge lanes for the active polygons.
+    # Edge lanes for the active (point, polygon) tests.
     starts = cols.offsets[active]
-    ends = cols.offsets[active + 1]
-    lane_counts = ends - starts
-    lane_rows = np.repeat(np.arange(len(active)), lane_counts)
-    lanes = _ranges(starts, lane_counts)
+    test, k = _expand(cols.offsets[active + 1] - starts)
+    lanes = starts[test] + k
     ax, ay = cols.vx[lanes], cols.vy[lanes]
     bx, by = cols.ex[lanes], cols.ey[lanes]
+    cx = cx[inside_bbox][test]
+    cy = cy[inside_bbox][test]
 
     # Boundary clause: Segment(a, b).distance_to_point(p) < 1e-9.
     # project_param -> clamp -> lerp -> hypot, with the scalar guard for
@@ -195,25 +351,11 @@ def _point_in_polygon_lanes(
     x_cross = ax + (cy - ay) * (bx - ax) / denom_y
     crossing = toggles & (cx < x_cross)
 
-    boundary_hit = np.bincount(
-        lane_rows[on_boundary], minlength=len(active)
-    ).astype(bool)
-    cross_count = np.bincount(lane_rows[crossing], minlength=len(active))
+    boundary_hit = np.zeros(len(active), dtype=bool)
+    boundary_hit[test[on_boundary]] = True
+    cross_count = np.bincount(test[crossing], minlength=len(active))
     result[inside_bbox] = boundary_hit | ((cross_count % 2) == 1)
     return result
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(starts[i], starts[i]+counts[i])`` lanes."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Standard CSR trick: cumulative offsets minus repeated starts.
-    reps = np.repeat(np.arange(len(starts)), counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-    )
-    return starts[reps] + within
 
 
 def _segments_intersect_lanes(
@@ -259,88 +401,88 @@ def _segments_intersect_lanes(
     return proper | touch
 
 
-def rect_overlap_mask(
-    cols: PolygonColumns,
-    rect: "ConduitRect",
-    skip: np.ndarray | None = None,
+def _rects_overlap_mask(
+    cols: PolygonColumns, rects: Sequence["ConduitRect"]
 ) -> np.ndarray:
-    """``rect.intersects_polygon(p)`` for every polygon, as a bool array.
+    """OR over ``rects`` of ``rect.intersects_polygon(p)``, per polygon.
 
-    ``skip`` (bool array) marks polygons whose verdict is already known
-    true; they are neither tested nor reported (callers OR masks across
-    rects, so skipping only saves work).
+    Every rect must be non-degenerate.  All of them are evaluated
+    together: one candidate lookup, then each clause once over the
+    lanes of every (rect, polygon) pair still undecided (``leg`` and
+    ``row`` index the pair's rect and polygon).
     """
     out = np.zeros(cols.count, dtype=bool)
-    if cols.count == 0:
-        return out
-    if (rect.end - rect.start).norm_sq() == 0.0:
-        # Degenerate disc conduits are rare (single-waypoint routes)
-        # and full of hypot-rounding subtleties; the scalar fallback in
-        # path_overlap_mask owns them.
-        raise ValueError("degenerate rect: use path_overlap_mask")
-    corners = rect.corners()
-    rminx, rminy, rmaxx, rmaxy = _rect_bbox(corners)
-    candidates = (
-        (cols.max_x >= rminx - _BBOX_MARGIN)
-        & (cols.min_x <= rmaxx + _BBOX_MARGIN)
-        & (cols.max_y >= rminy - _BBOX_MARGIN)
-        & (cols.min_y <= rmaxy + _BBOX_MARGIN)
+    scalars, corner_x, corner_y = _rect_scalars(rects)
+    leg, row = cols.bbox_candidates(
+        corner_x.min(axis=0) - _BBOX_MARGIN,
+        corner_y.min(axis=0) - _BBOX_MARGIN,
+        corner_x.max(axis=0) + _BBOX_MARGIN,
+        corner_y.max(axis=0) + _BBOX_MARGIN,
     )
-    if skip is not None:
-        candidates &= ~skip
-    rows = np.nonzero(candidates)[0]
-    if len(rows) == 0:
+    if len(row) == 0:
         return out
 
     # Clause A: any polygon vertex inside the rect.  This decides almost
     # every true verdict (footprints genuinely inside the conduit), so
-    # clauses B and C only run on the rows it leaves undecided.
-    starts = cols.offsets[rows]
-    counts = cols.offsets[rows + 1] - starts
-    lane_rows = np.repeat(np.arange(len(rows)), counts)
-    lanes = _ranges(starts, counts)
-    vert_in = _contains_lanes(rect, cols.vx[lanes], cols.vy[lanes])
-    verdict = np.bincount(
-        lane_rows[vert_in], minlength=len(rows)
-    ).astype(bool)
+    # clauses B and C only run on the pairs it leaves undecided.
+    starts = cols.offsets[row]
+    pair, k = _expand(cols.offsets[row + 1] - starts)
+    lanes = starts[pair] + k
+    vert_in = _contains(*scalars[:, leg[pair]], cols.vx[lanes], cols.vy[lanes])
+    out[row[pair[vert_in]]] = True
+    undecided = ~out[row]
+    if not undecided.any():
+        return out
+    leg, row = leg[undecided], row[undecided]
 
-    undecided = ~verdict
-    if undecided.any():
-        sub_rows = rows[undecided]
-        # Clause B: any rect corner inside the polygon.
-        sub = np.zeros(len(sub_rows), dtype=bool)
-        for c in corners:
-            sub |= _point_in_polygon_lanes(cols, sub_rows, c.x, c.y)
+    # Clause B: any rect corner inside the polygon — four point tests
+    # per pair, pair-major.
+    corner_in = _point_in_polygon_lanes(
+        cols, np.repeat(row, 4), corner_x[:, leg].T.ravel(), corner_y[:, leg].T.ravel()
+    )
+    hit = corner_in.reshape(-1, 4).any(axis=1)
+    out[row[hit]] = True
+    undecided = ~out[row]
+    if not undecided.any():
+        return out
+    leg, row = leg[undecided], row[undecided]
 
-        # Clause C: any polygon edge crosses any rect edge.  The scalar
-        # loop tests poly_edge x rect_edge pairs; OR over pairs is
-        # order-independent, so one broadcast pass over all four rect
-        # edges at once (rect edges down axis 0, poly-edge lanes along
-        # axis 1) suffices.
-        still = ~sub
-        if still.any():
-            srows = sub_rows[still]
-            sstarts = cols.offsets[srows]
-            scounts = cols.offsets[srows + 1] - sstarts
-            slane_rows = np.repeat(np.arange(len(srows)), scounts)
-            slanes = _ranges(sstarts, scounts)
-            ax, ay = cols.vx[slanes], cols.vy[slanes]
-            bx, by = cols.ex[slanes], cols.ey[slanes]
-            col = lambda vals: np.asarray(vals, dtype=np.float64)[:, None]
-            q1x = col([c.x for c in corners])
-            q1y = col([c.y for c in corners])
-            q2x = col([corners[(i + 1) % 4].x for i in range(4)])
-            q2y = col([corners[(i + 1) % 4].y for i in range(4)])
-            hit = _segments_intersect_lanes(
-                ax, ay, bx, by, q1x, q1y, q2x, q2y
-            ).any(axis=0)
-            sub[still] |= np.bincount(
-                slane_rows[hit], minlength=len(srows)
-            ).astype(bool)
-        verdict[undecided] = sub
-
-    out[rows] = verdict
+    # Clause C: any polygon edge crosses any rect edge.  The scalar loop
+    # tests poly_edge x rect_edge pairs; OR over pairs is
+    # order-independent, so one broadcast pass over all four rect edges
+    # at once (rect edges down axis 0, poly-edge lanes along axis 1)
+    # suffices.
+    starts = cols.offsets[row]
+    pair, k = _expand(cols.offsets[row + 1] - starts)
+    lanes = starts[pair] + k
+    q1x = corner_x[:, leg[pair]]
+    q1y = corner_y[:, leg[pair]]
+    crossing = _segments_intersect_lanes(
+        cols.vx[lanes], cols.vy[lanes], cols.ex[lanes], cols.ey[lanes],
+        q1x, q1y, np.roll(q1x, -1, axis=0), np.roll(q1y, -1, axis=0),
+    ).any(axis=0)
+    out[row[pair[crossing]]] = True
     return out
+
+
+def _is_degenerate(rect: "ConduitRect") -> bool:
+    dx = rect.end.x - rect.start.x
+    dy = rect.end.y - rect.start.y
+    return dx * dx + dy * dy == 0.0
+
+
+def rect_overlap_mask(cols: PolygonColumns, rect: "ConduitRect") -> np.ndarray:
+    """``rect.intersects_polygon(p)`` for every polygon, as a bool array.
+
+    The one-rect case of :func:`path_overlap_mask`'s kernel, for a
+    non-degenerate rect.
+    """
+    if _is_degenerate(rect):
+        # Degenerate disc conduits are rare (single-waypoint routes)
+        # and full of hypot-rounding subtleties; the scalar fallback in
+        # path_overlap_mask owns them.
+        raise ValueError("degenerate rect: use path_overlap_mask")
+    return _rects_overlap_mask(cols, [rect])
 
 
 def path_overlap_mask(
@@ -352,30 +494,27 @@ def path_overlap_mask(
 
     Degenerate rects (zero-length legs) are evaluated with the scalar
     predicate over bbox-prefiltered candidates; everything else runs
-    columnar.  ``polygons`` must be supplied when the path contains a
-    degenerate rect (the scalar fallback needs the objects back).
+    columnar, all legs at once.  ``polygons`` must be supplied when the
+    path contains a degenerate rect (the scalar fallback needs the
+    objects back).
     """
-    out = np.zeros(cols.count, dtype=bool)
+    live: list["ConduitRect"] = []
+    discs: list["ConduitRect"] = []
     for rect in path.rects:
-        if (rect.end - rect.start).norm_sq() == 0.0:
-            # Scalar fallback for the degenerate disc case.
-            half = rect.width / 2.0 + _BBOX_MARGIN
-            candidates = (
-                (cols.max_x >= rect.start.x - half)
-                & (cols.min_x <= rect.start.x + half)
-                & (cols.max_y >= rect.start.y - half)
-                & (cols.min_y <= rect.start.y + half)
-                & ~out
+        (discs if _is_degenerate(rect) else live).append(rect)
+    out = _rects_overlap_mask(cols, live)
+    if discs:
+        # Scalar fallback for the degenerate disc case.
+        x = np.array([r.start.x for r in discs])
+        y = np.array([r.start.y for r in discs])
+        half = np.array([r.width / 2.0 + _BBOX_MARGIN for r in discs])
+        disc, row = cols.bbox_candidates(x - half, y - half, x + half, y + half)
+        if len(row) and polygons is None:
+            raise ValueError(
+                "degenerate conduit rect needs the polygon objects "
+                "for the scalar fallback"
             )
-            rows = np.nonzero(candidates)[0]
-            if len(rows) and polygons is None:
-                raise ValueError(
-                    "degenerate conduit rect needs the polygon objects "
-                    "for the scalar fallback"
-                )
-            for r in rows:
-                if rect.intersects_polygon(polygons[int(r)]):
-                    out[r] = True
-            continue
-        out |= rect_overlap_mask(cols, rect, skip=out)
+        for d, r in zip(disc.tolist(), row.tolist()):
+            if not out[r] and discs[d].intersects_polygon(polygons[r]):
+                out[r] = True
     return out

@@ -625,6 +625,12 @@ buildings_along` stretches each walk over the timeline and snaps every
                     count, new_links = self._apply_bridges(ev, epoch)
                     deployed_now += count
                     links.extend(new_links)
+        # Events are gathered one by one but patched together: two damage
+        # areas may cover the same building, and a bridge may anchor on
+        # a building this very epoch's damage removes.
+        removals = list(dict.fromkeys(removals))
+        gone = set(removals)
+        links = [(a, b) for a, b in links if a not in gone and b not in gone]
         with span("scenario.patch", epoch=epoch):
             mutated = bg.patch(remove=removals, add_links=links)
         with span("scenario.replan", epoch=epoch):

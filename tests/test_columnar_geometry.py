@@ -130,22 +130,138 @@ class TestAdversarial:
         with pytest.raises(ValueError):
             rect_overlap_mask(cols, ConduitRect(Point(5, 5), Point(5, 5), 10))
 
-    def test_skip_mask_only_skips(self):
-        rng = random.Random(7)
-        polys = [random_polygon(rng) for _ in range(50)]
-        rect = random_rect(rng)
-        cols = PolygonColumns(polys)
-        full = rect_overlap_mask(cols, rect)
-        skip = np.zeros(len(polys), dtype=bool)
-        skip[::3] = True
-        partial = rect_overlap_mask(cols, rect, skip=skip)
-        assert not partial[skip].any()
-        assert (partial[~skip] == full[~skip]).all()
-
     def test_empty_columns(self):
         cols = PolygonColumns([])
         rect = ConduitRect(Point(0, 0), Point(10, 0), width=5)
         assert rect_overlap_mask(cols, rect).shape == (0,)
+
+
+class TestWholePathBatch:
+    """One kernel pass over a long path and a city-sized column set."""
+
+    PITCH = 45.0
+    LOTS = 72  # 72 x 72 = 5 184 footprints
+
+    @pytest.fixture(scope="class")
+    def city(self):
+        rng = random.Random(3)
+        polys = []
+        for row in range(self.LOTS):
+            for col in range(self.LOTS):
+                x = col * self.PITCH + rng.uniform(0, 8)
+                y = row * self.PITCH + rng.uniform(0, 8)
+                if rng.random() < 0.8:
+                    polys.append(
+                        Polygon.rectangle(
+                            x, y, x + rng.uniform(15, 34), y + rng.uniform(15, 34)
+                        )
+                    )
+                else:
+                    polys.append(
+                        Polygon.regular(
+                            Point(x + 15, y + 15),
+                            radius=rng.uniform(8, 17),
+                            sides=rng.randint(3, 7),
+                            rotation=rng.uniform(0, math.pi),
+                        )
+                    )
+        # Malls several grid cells wide (the cell is about twice the
+        # mean footprint side): a conduit clipping one end only finds
+        # them if they were filed under every cell they straddle.
+        for _ in range(12):
+            x = rng.uniform(0, 2800)
+            y = rng.uniform(0, 2800)
+            polys.append(
+                Polygon.rectangle(x, y, x + rng.uniform(150, 320), y + rng.uniform(150, 320))
+            )
+        return polys, PolygonColumns(polys)
+
+    def long_path(self, seed: int) -> ConduitPath:
+        """Enters from outside the city, wanders across it with one
+        repeated waypoint (a disc leg) half-way, and leaves again."""
+        rng = random.Random(seed)
+        span = self.LOTS * self.PITCH
+        waypoints = [Point(-600, -500), Point(-350, -420), Point(-200, -60)]
+        x, y = 100.0, 80.0
+        for i in range(52):
+            waypoints.append(Point(x, y))
+            if i == 25:
+                waypoints.append(Point(x, y))
+            heading = rng.uniform(-0.9, 0.9) + (0.0 if (i // 13) % 2 == 0 else math.pi)
+            step = rng.uniform(60, 220)
+            x = min(max(x + step * math.cos(heading), 0.0), span)
+            y = min(max(y + abs(step * math.sin(heading)) + 20, 0.0), span)
+        waypoints += [Point(span + 300, span + 100), Point(span + 700, span + 150)]
+        return ConduitPath.from_waypoints(waypoints, width=50.0)
+
+    @staticmethod
+    def scalar_mask(path, polys):
+        """The scalar verdict per polygon.  ``intersects_polygon`` costs
+        ~50 us a call, so it runs only on (rect, polygon) pairs whose
+        boxes come within a metre — shapes whose boxes are a metre apart
+        share no point — and on every 40th polygon against the whole
+        path regardless, which keeps that shortcut honest."""
+        boxes = []
+        for rect in path.rects:
+            xs = [c.x for c in rect.corners()]
+            ys = [c.y for c in rect.corners()]
+            boxes.append((min(xs) - 1, min(ys) - 1, max(xs) + 1, max(ys) + 1))
+        expected = []
+        for i, poly in enumerate(polys):
+            x0, y0, x1, y1 = poly.bbox
+            verdict = any(
+                rect.intersects_polygon(poly)
+                for rect, (bx0, by0, bx1, by1) in zip(path.rects, boxes)
+                if x1 >= bx0 and x0 <= bx1 and y1 >= by0 and y0 <= by1
+            )
+            if i % 40 == 0:
+                assert verdict == path.intersects_polygon(poly)
+            expected.append(verdict)
+        return expected
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_long_path_matches_scalar(self, city, seed):
+        polys, cols = city
+        path = self.long_path(seed)
+        assert len(path.rects) >= 50 and len(polys) >= 5000
+        assert any(r.start == r.end for r in path.rects[20:35])
+        mask = path_overlap_mask(cols, path, polygons=polys)
+        expected = self.scalar_mask(path, polys)
+        assert mask.tolist() == expected
+        assert 100 < sum(expected) < len(polys) // 2
+        assert any(expected[-12:])  # a mall was reached
+        # The legs outside the city bbox claim nothing.
+        outside = ConduitPath(path.rects[:2] + path.rects[-1:])
+        assert not path_overlap_mask(cols, outside).any()
+
+    def test_one_rect_path_is_rect_overlap_mask(self, city):
+        polys, cols = city
+        for rect in self.long_path(5).rects[10:14]:
+            single = path_overlap_mask(cols, ConduitPath([rect]))
+            assert single.tolist() == rect_overlap_mask(cols, rect).tolist()
+            assert single.any()
+
+    def test_bbox_candidates_match_brute_force(self, city):
+        polys, cols = city
+        rng = random.Random(11)
+        x0 = np.array([rng.uniform(-400, 3400) for _ in range(40)])
+        y0 = np.array([rng.uniform(-400, 3400) for _ in range(40)])
+        x1 = x0 + np.array([rng.uniform(0, 500) for _ in range(40)])
+        y1 = y0 + np.array([rng.uniform(0, 500) for _ in range(40)])
+        box, row = cols.bbox_candidates(x0, y0, x1, y1)
+        got = sorted(zip(box.tolist(), row.tolist()))
+        assert len(got) == len(set(got))  # each pair once
+        want = [
+            (b, r)
+            for b in range(40)
+            for r in np.nonzero(
+                (cols.max_x >= x0[b])
+                & (cols.min_x <= x1[b])
+                & (cols.max_y >= y0[b])
+                & (cols.min_y <= y1[b])
+            )[0].tolist()
+        ]
+        assert got == want
 
 
 class TestAgainstRealCity:

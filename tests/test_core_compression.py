@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CompressedRoute, compress_route, compression_ratio, conduits_for_waypoints
-from repro.geometry import ConduitRect, Point
+from repro.geometry import ConduitRect, Point, covers_all
 
 
 def straight_route(n, spacing=30.0):
@@ -102,6 +102,80 @@ class TestCompressRoute:
         assert c.waypoints[-1] == len(route) - 1
         assert all(a < b for a, b in zip(c.waypoints, c.waypoints[1:]))
         self._assert_covered(route, c)
+
+
+def naive_compress(route, width):
+    """Figure 4 as stated: from each waypoint, the latest building whose
+    conduit covers every building it skips."""
+    waypoints = [0]
+    while waypoints[-1] < len(route) - 1:
+        cur = waypoints[-1]
+        waypoints.append(
+            max(
+                j
+                for j in range(cur + 1, len(route))
+                if covers_all(route[cur], route[j], width, route[cur + 1 : j])
+            )
+        )
+    return tuple(waypoints)
+
+
+_coord = st.floats(min_value=-500, max_value=500, allow_nan=False)
+_step = st.tuples(
+    st.floats(min_value=-60, max_value=60), st.floats(min_value=-60, max_value=60)
+)
+_width = st.floats(min_value=5, max_value=200)
+
+
+@st.composite
+def _routes(draw):
+    """Random walks that may stall on a centroid or retrace themselves."""
+    x, y = draw(_coord), draw(_coord)
+    route = [Point(x, y)]
+    for dx, dy in draw(st.lists(_step, min_size=0, max_size=25)):
+        move = draw(st.sampled_from(["step", "step", "stay", "revisit"]))
+        if move == "step":
+            x, y = x + dx, y + dy
+            route.append(Point(x, y))
+        elif move == "stay":
+            route.append(route[-1])
+        else:
+            route.append(draw(st.sampled_from(route)))
+            x, y = route[-1].x, route[-1].y
+    if draw(st.booleans()):
+        route += route[-2::-1]  # walk all the way back over itself
+    return route
+
+
+class TestMatchesNaiveOracle:
+    @given(route=_routes(), width=_width)
+    @settings(max_examples=200, deadline=None)
+    def test_random_walks(self, route, width):
+        assert compress_route(route, width).waypoints == naive_compress(route, width)
+
+    @pytest.mark.parametrize("width", [5.0, 50.0, 200.0])
+    def test_repeated_centroids_take_the_disc_branch(self, width):
+        a, b = Point(0, 0), Point(width / 2.0, 0)  # b sits on a's disc rim
+        route = [a, a, b, a, Point(3 * width, 0), a, a]
+        assert compress_route(route, width).waypoints == naive_compress(route, width)
+
+    def test_metro_shaped_route(self):
+        """A 240-building staircase over a jittered 45 m lattice, the
+        shape a far pair on the metro preset produces."""
+        rng = random.Random(12)
+        col = row = 0
+        route = []
+        while len(route) < 240:
+            route.append(
+                Point(col * 45 + rng.uniform(-6, 6), row * 45 + rng.uniform(-6, 6))
+            )
+            if rng.random() < 0.65:
+                col += 1
+            else:
+                row += 1
+        compressed = compress_route(route, 50.0)
+        assert compressed.waypoints == naive_compress(route, 50.0)
+        assert 2 < compressed.waypoint_count < len(route) // 2
 
 
 class TestConduitsForWaypoints:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.buildgraph import BuildingGraph, NoRouteError
-from repro.city import Building, City, make_city
+from repro.city import Building, City, grid_downtown, make_city
 from repro.core import BuildingRouter, ConduitMembership
 from repro.geometry import Point, Polygon
 
@@ -195,6 +195,29 @@ class TestConduitMembership:
         for _ in range(100):
             p = Point(rng.uniform(min_x, max_x), rng.uniform(min_y, max_y))
             assert m.should_rebroadcast(plan.header, p) == plan.conduits.contains(p)
+
+    def test_ap_side_conduits_equal_the_senders(self):
+        """The columnar verdict-mask cache is keyed by ``ConduitPath``
+        value: what an AP rebuilds from the header must equal — and
+        hash like — what the sender planned, or every lookup misses."""
+        city = grid_downtown(seed=0, blocks_x=6, blocks_y=6)
+        graph = BuildingGraph(city)
+        router = BuildingRouter(city, graph=graph)
+        membership = ConduitMembership(city, graph=graph)
+        rng = random.Random(8)
+        ids = list(graph)
+        planned = 0
+        while planned < 25:
+            src, dst = rng.sample(ids, 2)
+            try:
+                plan = router.plan(src, dst)
+            except NoRouteError:
+                continue
+            planned += 1
+            rebuilt = membership.conduits_of(plan.header)
+            assert rebuilt == plan.conduits
+            assert hash(rebuilt) == hash(plan.conduits)
+            assert rebuilt is not plan.conduits
 
     def test_stats_publishes_cache_gauges(self):
         from repro.obs import REGISTRY

@@ -147,6 +147,56 @@ class TestDriver:
         assert versions[1] == versions[0] + 1  # exactly one bump
         assert versions[2] == versions[1] == versions[3]
 
+    def test_overlapping_damage_in_one_epoch(self):
+        """Two areas covering the same buildings are one removal each:
+        the epoch patches once instead of raising KeyError."""
+        west = _rect(-50.0, -50.0, 150.0, 900.0)
+        east = _rect(100.0, -50.0, 300.0, 900.0)
+        spec = _small_spec(
+            events=(Damage(epoch=1, area=west), Damage(epoch=1, area=east)),
+        )
+        with ScenarioDriver(spec) as driver:
+            before = set(driver.world.building_graph)
+            result = driver.run()
+            after = set(driver.world.building_graph)
+        centroid = {b.id: b.centroid() for b in driver.world.city.buildings}
+        assert any(
+            west.contains(centroid[b]) and east.contains(centroid[b])
+            for b in before - after
+        )
+        assert not any(
+            west.contains(centroid[b]) or east.contains(centroid[b]) for b in after
+        )
+        assert [e.mutated for e in result.epochs] == [False, True, False]
+        versions = [e.graph_version for e in result.epochs]
+        assert versions[1] == versions[0] + 1
+
+    def test_bridge_link_to_building_damaged_same_epoch(self):
+        """A bridge planned at the start of an epoch may anchor on a
+        building that the same epoch's damage then removes; the link is
+        dropped, the rest of the patch lands."""
+        spec = ScenarioSpec(
+            name="bridge-then-damage",
+            world=WorldSpec("gridport", seed=0),
+            epochs=5,
+            epoch_hours=4.0,
+            flows=8,
+            battery_fraction=0.5,
+            generator_fraction=0.05,
+            events=(
+                Damage(epoch=1, area=_rect(-50.0, 300.0, 900.0, 530.0)),
+                # The bridge joins south to north; then the north goes.
+                DeployBridges(epoch=3, min_island_size=5),
+                Damage(epoch=3, area=_rect(-50.0, 530.0, 900.0, 900.0)),
+            ),
+        )
+        with ScenarioDriver(spec) as driver:
+            result = driver.run()
+            bg = driver.world.building_graph
+            assert max(bg.centroid(b).y for b in bg) < 300.0
+        assert [e.mutated for e in result.epochs] == [False, True, False, True, False]
+        assert result.epochs[3].deployed_aps > 0
+
     def test_no_mutation_means_no_planner_work(self):
         result = run_scenario(_small_spec(epochs=3, events=()))
         later = result.epochs[1:]
