@@ -1,16 +1,18 @@
-"""Benchmarks for the broadcast fast path and the parallel trial harness.
+"""Benchmarks for the broadcast kernel and the parallel trial harness.
 
 Four measurements, one JSON perf record (printed at teardown and
 written to ``$BROADCAST_PERF_JSON`` when set):
 
-- **serial reference vs fastpath**: one full flood on a ~10k-AP world
-  through the generator/callback DES engine and through the
-  ``repro.sim.fastpath`` kernel.  Acceptance: the fastpath is ≥ 3x
-  faster single-threaded, with identical results (also enforced
-  exhaustively by ``tests/test_fastpath_equivalence.py``).
+- **serial reference vs kernel**: one full flood on a ~10k-AP world
+  through the generator/callback DES engine (``fast=False``) and
+  through the ``repro.sim.columnar`` kernel.  Acceptance: the kernel is
+  ≥ 3x faster single-threaded, with identical results (also enforced
+  exhaustively by ``tests/test_fastpath_equivalence.py``).  The record
+  keys stay ``fastpath_s`` / ``fastpath_speedup``: they are the
+  committed ``BENCH_broadcast*.json`` format.
 - **batched epoch fan-out**: the same 16 flows through
   ``simulate_broadcast_batch`` (one frozen world) vs 16 sequential
-  fastpath calls, byte-identical results required.
+  ``simulate_broadcast`` calls, byte-identical results required.
 - **TrialRunner scaling**: the same delivery-trial batch at
   ``workers=1`` vs ``workers=4``.  Acceptance: ≥ 0.6 x workers
   speedup — asserted only when the machine actually has ≥ 4 usable
@@ -18,12 +20,12 @@ written to ``$BROADCAST_PERF_JSON`` when set):
   trends catch regressions either way).
 """
 
-import json
 import os
 import random
 import time
 
 import pytest
+from conftest import perf_recording
 
 from repro.city import Building, City
 from repro.experiments import (
@@ -34,13 +36,12 @@ from repro.experiments import (
 )
 from repro.geometry import Polygon
 from repro.mesh import APGraph, place_aps
-from repro.obs import RunManifest, close_trace, set_trace_path, span
+from repro.obs import close_trace, set_trace_path, span
 from repro.sim import (
     FloodPolicy,
     FlowSpec,
     simulate_broadcast,
     simulate_broadcast_batch,
-    simulate_broadcast_fast,
 )
 
 # ~48 x 48 jittered city blocks at 1 AP / 200 m^2 -> ~10k APs.
@@ -83,17 +84,9 @@ def big_graph():
 @pytest.fixture(scope="module")
 def perf_record():
     """Accumulates measurements; dumped as one JSON record at teardown."""
-    record = {"bench": "broadcast_kernel", "usable_cpus": USABLE_CPUS}
-    manifest = RunManifest.begin(config={"bench": "broadcast_kernel"}, seed=0)
-    yield record
-    record["manifest"] = manifest.finish().to_dict()
-    record["timestamp"] = time.time()
-    payload = json.dumps(record, indent=2, sort_keys=True)
-    path = os.environ.get("BROADCAST_PERF_JSON")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
-    print("\nBROADCAST_PERF_RECORD " + payload)
+    yield from perf_recording(
+        "broadcast_kernel", "BROADCAST_PERF_JSON", usable_cpus=USABLE_CPUS
+    )
 
 
 def test_bench_fastpath_vs_reference(big_graph, perf_record):
@@ -135,7 +128,7 @@ def test_bench_fastpath_vs_reference(big_graph, perf_record):
 
 def test_bench_batch_fanout(big_graph, perf_record):
     """Epoch-shaped fan-out: 16 flows against one frozen world vs 16
-    sequential fastpath calls, with some of the mesh dead so the batch
+    sequential one-flow calls, with some of the mesh dead so the batch
     path exercises the dead-filtered CSR.  Results must match exactly
     (the full cross-product lives in ``tests/test_batch_equivalence.py``)."""
     n = len(big_graph)
@@ -156,7 +149,7 @@ def test_bench_batch_fanout(big_graph, perf_record):
     def sequential():
         t0 = time.perf_counter()
         results = [
-            simulate_broadcast_fast(
+            simulate_broadcast(
                 big_graph, src, dest, FloodPolicy(), random.Random(src),
                 dead_aps=dead,
             )

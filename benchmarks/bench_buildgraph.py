@@ -15,17 +15,15 @@ and written to ``$BUILDGRAPH_PERF_JSON`` when set) so the bench
 trajectory can be tracked across commits.
 """
 
-import json
-import os
 import random
 import time
 
 import pytest
+from conftest import perf_recording
 
 from repro.buildgraph import BuildingGraph
 from repro.city import Building, City
 from repro.geometry import Polygon
-from repro.obs import RunManifest
 
 COLS = ROWS = 100  # 10_000 buildings
 SIZE = 30.0
@@ -63,17 +61,7 @@ def big_graph(big_city):
 @pytest.fixture(scope="module")
 def perf_record():
     """Accumulates measurements; dumped as one JSON record at teardown."""
-    record = {"bench": "buildgraph", "n_buildings": N_BUILDINGS}
-    manifest = RunManifest.begin(config=dict(record), seed=0)
-    yield record
-    record["manifest"] = manifest.finish().to_dict()
-    record["timestamp"] = time.time()
-    payload = json.dumps(record, indent=2, sort_keys=True)
-    path = os.environ.get("BUILDGRAPH_PERF_JSON")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
-    print("\nBUILDGRAPH_PERF_RECORD " + payload)
+    yield from perf_recording("buildgraph", "BUILDGRAPH_PERF_JSON", n_buildings=N_BUILDINGS)
 
 
 def far_pairs(graph, count, seed=1):

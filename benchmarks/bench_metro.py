@@ -25,7 +25,6 @@ city (CI smoke uses ``metro-20k``); ``METRO_BENCH_COLD_ROUTES``,
 the workload.
 """
 
-import json
 import math
 import os
 import random
@@ -33,10 +32,10 @@ import statistics
 import time
 
 import pytest
+from conftest import perf_recording
 
 from repro.buildgraph import BuildingGraph, attach_hierarchy
 from repro.city import make_city
-from repro.obs import RunManifest
 
 PRESET = os.environ.get("METRO_BENCH_PRESET", "metro-100k")
 COLD_ROUTES = int(os.environ.get("METRO_BENCH_COLD_ROUTES", "200"))
@@ -46,17 +45,8 @@ BATCH_UNIQUE = int(os.environ.get("METRO_BENCH_BATCH_UNIQUE", "1000"))
 
 @pytest.fixture(scope="module")
 def perf_record():
-    record = {"bench": "metro", "preset": PRESET}
-    manifest = RunManifest.begin(config=dict(record), seed=0)
-    yield record
-    record["manifest"] = manifest.finish().to_dict()
-    record["timestamp"] = time.time()
-    payload = json.dumps(record, indent=2, sort_keys=True)
-    path = os.environ.get("METRO_PERF_JSON")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
-    print("\nMETRO_PERF_RECORD " + payload)
+    """Accumulates measurements; dumped as one JSON record at teardown."""
+    yield from perf_recording("metro", "METRO_PERF_JSON", preset=PRESET)
 
 
 @pytest.fixture(scope="module")

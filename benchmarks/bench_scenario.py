@@ -16,17 +16,16 @@ steady-state throughput; the aggregate ``run_s`` is still recorded.
 ``$SCENARIO_BENCH_EPOCHS`` overrides the epoch count (CI smoke runs 3).
 """
 
-import json
 import os
 import statistics
 import time
 
 import pytest
+from conftest import perf_recording
 
 from repro.city import grid_downtown
 from repro.experiments import WorldSpec, build_world_from_city
 from repro.geometry import Point, Polygon
-from repro.obs import RunManifest
 from repro.scenario import (
     CongestionSpec,
     Damage,
@@ -58,17 +57,7 @@ def big_world():
 @pytest.fixture(scope="module")
 def perf_record():
     """Accumulates measurements; dumped as one JSON record at teardown."""
-    record = {"bench": "scenario"}
-    manifest = RunManifest.begin(config=dict(record), seed=0)
-    yield record
-    record["manifest"] = manifest.finish().to_dict()
-    record["timestamp"] = time.time()
-    payload = json.dumps(record, indent=2, sort_keys=True)
-    path = os.environ.get("SCENARIO_PERF_JSON")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
-    print("\nSCENARIO_PERF_RECORD " + payload)
+    yield from perf_recording("scenario", "SCENARIO_PERF_JSON")
 
 
 def test_bench_scenario_epoch_throughput(big_world, perf_record):

@@ -37,14 +37,13 @@ floor (the acceptance runs use 5000).
 import asyncio
 import base64
 import contextlib
-import json
 import os
 import threading
 import time
 
 import pytest
+from conftest import perf_recording
 
-from repro.obs import RunManifest
 from repro.scenario import make_scenario
 from repro.service import (
     ClusterConfig,
@@ -78,24 +77,11 @@ SEED = 0
 
 @pytest.fixture(scope="module")
 def perf_record():
-    record = {
-        "bench": "service",
-        "scenario": SCENARIO,
-        "phones": PHONES,
-        "connections": CONNECTIONS,
-        "shards": SHARDS,
-        "workers_set": list(WORKERS_SET),
-    }
-    manifest = RunManifest.begin(config=dict(record), seed=SEED)
-    yield record
-    record["manifest"] = manifest.finish().to_dict()
-    record["timestamp"] = time.time()
-    payload = json.dumps(record, indent=2, sort_keys=True)
-    path = os.environ.get("SERVICE_PERF_JSON")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
-    print("\nSERVICE_PERF_RECORD " + payload)
+    """Accumulates measurements; dumped as one JSON record at teardown."""
+    yield from perf_recording(
+        "service", "SERVICE_PERF_JSON", seed=SEED, scenario=SCENARIO, phones=PHONES,
+        connections=CONNECTIONS, shards=SHARDS, workers_set=list(WORKERS_SET),
+    )
 
 
 @pytest.fixture(scope="module")

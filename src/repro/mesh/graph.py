@@ -197,9 +197,8 @@ class APGraph:
     def adjacency_lists(self) -> list[list[int]]:
         """The full integer adjacency structure, indexed by AP id.
 
-        This is the graph's own storage (do not mutate).  The fast-path
-        broadcast kernel pulls it once so its hot loop runs over plain
-        ``list[list[int]]`` with no method dispatch per transmission.
+        This is the graph's own storage (do not mutate); array consumers
+        such as the broadcast kernel read :meth:`csr` instead.
         """
         return self._adjacency
 

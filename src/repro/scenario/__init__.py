@@ -13,7 +13,6 @@ from .driver import (
     ScenarioFlowTrial,
     extended_graph,
     run_scenario,
-    scenario_flow_trial,
 )
 from .events import (
     APChurn,
@@ -61,7 +60,6 @@ __all__ = [
     "generate_scenario",
     "make_scenario",
     "run_scenario",
-    "scenario_flow_trial",
     "scenario_names",
     "spec_digest",
 ]

@@ -5,8 +5,8 @@ Per epoch the driver
 1. applies the events pinned to that epoch (outages start/end, damage
    lands, churn draws, operators deploy bridge APs),
 2. derives the alive-AP set from power profiles, destruction, and
-   churn — against the *original* mesh, via the ``dead_aps`` fast path
-   of :func:`~repro.sim.simulate_broadcast` and the ``alive=`` path of
+   churn — against the *original* mesh, via the ``dead_aps`` argument
+   of :func:`~repro.sim.simulate_broadcast_batch` and the ``alive=`` path of
    :func:`~repro.mesh.find_islands`, so no per-epoch graph rebuilds,
 3. patches the building graph in one :meth:`~repro.buildgraph.\
 BuildingGraph.patch` call (exactly one version bump per mutating
@@ -55,7 +55,6 @@ from ..sim import (
     DEFAULT_TX_DELAY_S,
     ConduitPolicy,
     FlowSpec,
-    simulate_broadcast,
     simulate_broadcast_batch,
     simulate_traffic_batch,
 )
@@ -133,31 +132,6 @@ def extended_graph(world: World, deployed: tuple[DeployedAP, ...]) -> APGraph:
     return graph
 
 
-def scenario_flow_trial(
-    world: World, trial: ScenarioFlowTrial
-) -> tuple[bool, int]:
-    """Run one flow's broadcast; returns ``(delivered, transmissions)``.
-
-    Module-level so :class:`~repro.experiments.TrialRunner` can ship it
-    to worker processes by reference.
-    """
-    graph = extended_graph(world, trial.deployed)
-    centroids = [
-        world.city.building(b).centroid() for b in trial.waypoint_ids
-    ]
-    conduits = conduits_for_waypoints(centroids, trial.conduit_width)
-    policy = ConduitPolicy(conduits, world.city)
-    result = simulate_broadcast(
-        graph,
-        trial.source_ap,
-        trial.dst_building,
-        policy,
-        random.Random(trial.seed),
-        dead_aps=trial.dead_aps,
-    )
-    return result.delivered, result.transmissions
-
-
 @dataclass(frozen=True)
 class ScenarioEpochBatch:
     """All of one epoch's flow trials, frozen as a single work item.
@@ -187,9 +161,12 @@ def scenario_epoch_batch(
 ) -> list[tuple[bool, int]]:
     """Run an epoch's flows through one frozen world.
 
-    Per-flow results are byte-identical to :func:`scenario_flow_trial`
-    run trial by trial — the batch only shares frozen state, never RNG
-    streams (each trial still seeds its own generator).  With a
+    Per-flow results are byte-identical to one
+    :func:`~repro.sim.simulate_broadcast` call per trial — the batch
+    only shares frozen state, never RNG streams (each trial still seeds
+    its own generator).  Module-level so
+    :class:`~repro.experiments.TrialRunner` can ship it to worker
+    processes by reference.  With a
     congestion window set, flows instead contend for the shared
     channel (see :class:`ScenarioEpochBatch`).
     """

@@ -26,7 +26,6 @@ from .columnar import (
     simulate_broadcast_batch,
 )
 from .engine import Environment, Event, Process, SimulationError, Timeout, all_of
-from .fastpath import simulate_broadcast_fast
 from .radio import (
     DEFAULT_JITTER_S,
     DEFAULT_TX_DELAY_S,
@@ -65,7 +64,6 @@ __all__ = [
     "poisson_workload",
     "simulate_broadcast",
     "simulate_broadcast_batch",
-    "simulate_broadcast_fast",
     "simulate_broadcast_with_collisions",
     "simulate_traffic",
     "simulate_traffic_batch",

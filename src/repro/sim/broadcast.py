@@ -6,6 +6,14 @@ positive, rebroadcasts once after a small random jitter.  The
 simulation records delivery to the destination building and the total
 number of transmissions — the numerator of the paper's transmission-
 overhead metric.
+
+This module owns the vocabulary (policies, :class:`SimParams`,
+:class:`BroadcastResult`) and the **reference** engine: the
+generator/callback DES inside :func:`simulate_broadcast`, reached with
+``fast=False`` and kept as the oracle the equivalence tests compare
+against.  Every other caller runs the group-event kernel in
+:mod:`repro.sim.columnar`, which ``fast=True`` (the default) hands off
+to; the flag selects oracle vs kernel and nothing else.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from ..obs import REGISTRY
 from .engine import Environment
 from .radio import DEFAULT_JITTER_S, UnitDiskRadio
 
-# Registry instruments shared by both engines (reference and fastpath).
+# Registry instruments shared by the kernel and the reference engine.
 # Flushed once per simulated broadcast from the finished result — the
 # event loops themselves carry zero instrumentation overhead.
 _M_BROADCASTS = REGISTRY.counter("sim.broadcasts")
@@ -209,9 +217,9 @@ def simulate_broadcast(
             needs no :class:`~repro.mesh.APGraph` rebuilds.  The dead
             set is consulted *before* any radio loss draw, so seeded
             results are identical between the reference engine and the
-            fast path for any dead set.
-        fast: dispatch to the specialised kernel in
-            :mod:`repro.sim.fastpath` (seeded results are identical);
+            kernel for any dead set.
+        fast: run the group-event kernel in :mod:`repro.sim.columnar`
+            as a one-flow batch (seeded results are identical);
             ``False`` runs the reference generator/callback engine,
             kept as the oracle for the equivalence tests.
 
@@ -224,19 +232,12 @@ def simulate_broadcast(
     if source_ap in dead_aps:
         raise ValueError(f"source AP {source_ap} is dead and cannot inject")
     if fast:
-        from .fastpath import simulate_broadcast_fast
+        from .columnar import FlowSpec, simulate_broadcast_batch
 
-        return simulate_broadcast_fast(
-            graph,
-            source_ap,
-            dest_building,
-            policy,
-            rng,
-            radio=radio,
-            params=params,
-            compromised=compromised,
-            dead_aps=dead_aps,
-        )
+        flow = FlowSpec(source_ap, dest_building, policy, rng, compromised)
+        return simulate_broadcast_batch(
+            graph, [flow], radio=radio, params=params, dead_aps=dead_aps
+        )[0]
     if radio is None:
         radio = UnitDiskRadio()
     if params is None:
@@ -267,7 +268,7 @@ def simulate_broadcast(
         audience = neighbors(ap_id)
         if dead_aps:
             # Dead receivers are filtered before the radio draws any
-            # loss randomness — the fast path does the same, keeping
+            # loss randomness — the kernel does the same, keeping
             # seeded RNG consumption aligned between the engines.
             audience = [v for v in audience if v not in dead_aps]
         for reception in receptions_of(audience, rng):

@@ -1,11 +1,10 @@
-"""Columnar broadcast core: frozen worlds, batched flows, SoA kernel.
+"""The broadcast kernel: frozen worlds, batched flows, group events.
 
-This module is the epoch-scale complement to :mod:`repro.sim.fastpath`.
-The scenario driver simulates ~16 independent flows per epoch against
-the *same* mesh and the same dead-AP set; rebuilding per-flow Python
-structures 16x per epoch dominated the runtime.  Here the mutable world
-is **frozen once** into flat numpy arrays and every flow of the epoch
-runs against the shared frozen state:
+This module is the one broadcast engine everything but the equivalence
+tests runs (:func:`repro.sim.simulate_broadcast` hands its default
+``fast=True`` case to :func:`simulate_broadcast_batch` as a one-flow
+batch).  The mutable world is **frozen once** into flat numpy arrays
+and every flow of an epoch runs against the shared frozen state:
 
 - :func:`frozen_epoch` — int32 CSR adjacency with the dead APs already
   filtered out, cached per ``(graph, dead_aps)`` so repeated flows (and
@@ -14,32 +13,41 @@ runs against the shared frozen state:
   columnar-ly: conduit membership goes through the bit-exact
   :func:`repro.geometry.path_overlap_mask` kernel over the city's
   cached :class:`~repro.geometry.PolygonColumns` instead of one scalar
-  ``intersects_polygon`` call per building (the old hot spot — ~98 of
-  107 bench seconds);
-- :func:`simulate_broadcast_batch` — the epoch entry point: freeze
-  once, then run every flow with its own policy/RNG/destination.
+  ``intersects_polygon`` call per building;
+- :func:`run_columnar` — the group-event loop for one flow;
+- :func:`simulate_broadcast_batch` — the entry point: freeze once,
+  then run every flow with its own policy/RNG/destination.
 
 Equivalence contract
 --------------------
 
 Results are **bit-for-bit identical** to the reference DES engine
-(:func:`repro.sim.broadcast.simulate_broadcast` with ``fast=False``)
-for the same seeds.  The kernel exploits one structural fact: all
-receptions pushed by a single transmission share one timestamp and a
-*contiguous* block of sequence numbers, so in the heap's total
-``(time, seq)`` order no other event can interleave with them.  The
-whole block therefore becomes ONE heap entry (a view into the frozen
-CSR), and its per-reception effects (copy counters, duplicate
-accounting, delivery, rebroadcast selection) are applied with
-vectorized integer ops — which are exact, so equality with the scalar
-engine is structural, not approximate.  RNG draws stay in reference
-order: per-neighbour loss draws happen at transmit time in adjacency
-order, jitter draws at reception time in filtered audience order.
+(:func:`repro.sim.broadcast.simulate_broadcast` with ``fast=False``,
+kept only as the oracle tests compare against) for the same seeds.
+The kernel exploits one structural fact: all receptions pushed by a
+single transmission share one timestamp and a *contiguous* block of
+sequence numbers, so in the heap's total ``(time, seq)`` order no other
+event can interleave with them.  The whole block therefore becomes ONE
+heap entry (a view into the frozen CSR), and its per-reception effects
+(copy counters, duplicate accounting, delivery, rebroadcast selection)
+are applied with vectorized integer ops — which are exact, so equality
+with the scalar engine is structural, not approximate.  RNG draws stay
+in reference order: per-neighbour loss draws happen at transmit time in
+adjacency order, verdict and jitter draws at reception time in filtered
+audience order.
 
-Stateful policies (gossip, user classes), pre-seeded ``ConduitPolicy``
-memos, and custom radios cannot be expressed as frozen bitmaps; those
-flows transparently fall back to the scalar fastpath kernel, which
-shares the same contract.
+Two lanes cover what a frozen bitmap or an inlined radio cannot:
+
+- **lazy verdict lane** — when :func:`policy_verdict_array` returns
+  ``None`` (stateful gossip, user classes, a ``ConduitPolicy`` whose
+  memo is pre-seeded) the group handler walks the fresh, non-compromised
+  receivers in audience order, calling ``policy.should_rebroadcast`` and
+  drawing the jitter right after each positive verdict — the order the
+  reference consumes a shared RNG in;
+- **generic radio lane** — a radio whose type is not exactly
+  :class:`UnitDiskRadio`/:class:`LossyRadio` is asked for its
+  ``receptions`` (own delays, own loss draws) and each becomes a
+  single-receiver group with its own sequence number.
 
 Lifecycle and invalidation: an :class:`~repro.mesh.APGraph` is
 immutable after construction (bridge deployments build a *new* graph),
@@ -83,14 +91,7 @@ _EPOCH_CACHE_CAP = 8
 #: path: initial flows + replans of a scenario run fit comfortably).
 _VERDICT_CACHE_CAP = 256
 
-#: Flows that silently left the columnar path for the scalar fastpath
-#: (stateful policies such as gossip, pre-seeded memos, custom radios).
-#: The fallback is bit-exact but ~an order of magnitude slower, so a
-#: batch that quietly degrades should be visible: the counter appears
-#: in every ``REGISTRY.snapshot()`` (``repro obs show``, the service
-#: ``/v1/stats`` endpoint) like any other ``sim.*`` stat.
-_M_SCALAR_FALLBACKS = REGISTRY.counter("sim.columnar.scalar_fallbacks")
-#: Flows the columnar kernel actually ran (the healthy counterpart).
+#: Flows the kernel ran; surfaces in every ``REGISTRY.snapshot()``.
 _M_COLUMNAR_FLOWS = REGISTRY.counter("sim.columnar.flows")
 
 
@@ -237,8 +238,8 @@ def policy_verdict_array(
 
     ``None`` means the policy cannot be frozen (stateful, user-defined,
     or a :class:`ConduitPolicy` with a pre-seeded memo whose entries
-    must be honoured) and the caller has to fall back to the scalar
-    kernel's lazy evaluation.
+    must be honoured) and the kernel evaluates it lazily, one
+    ``should_rebroadcast`` call per fresh receiver.
     """
     kind = type(policy)
     if kind is FloodPolicy:
@@ -255,20 +256,14 @@ def policy_verdict_array(
 
 
 # ----------------------------------------------------------------------
-# The SoA group-event kernel
+# The group-event kernel
 # ----------------------------------------------------------------------
 def run_columnar(
     frozen: FrozenEpoch,
-    source_ap: int,
-    dest_aps: Sequence[int],
-    source_in_dest: bool,
-    verdicts: np.ndarray,
-    rng: random.Random,
-    unit_disk: bool,
-    tx_delay: float,
-    loss_p: float,
+    graph: APGraph,
+    flow: FlowSpec,
+    radio: UnitDiskRadio,
     params: SimParams,
-    compromised: frozenset[int],
 ) -> BroadcastResult:
     """One broadcast against a frozen epoch; reference-identical.
 
@@ -286,13 +281,26 @@ def run_columnar(
     max_time = params.max_sim_time_s
     bounded = max_time != float("inf")
 
+    rng = flow.rng
+    source_ap = flow.source_ap
+    # None selects the lazy verdict lane in the receive handler.
+    verdicts = policy_verdict_array(flow.policy, graph)
+    should_rebroadcast = flow.policy.should_rebroadcast
+    aps = graph.aps
+    radio_kind = type(radio)
+    lossy = radio_kind is LossyRadio
+    generic_radio = not (lossy or radio_kind is UnitDiskRadio)
+    tx_delay = 0.0 if generic_radio else radio.tx_delay_s
+    loss_p = radio.loss_probability if lossy else 0.0
+
     seen = np.zeros(n, dtype=bool)
     copies = np.zeros(n, dtype=np.int64) if threshold is not None else None
     blackholes = None
-    if compromised:
+    if flow.compromised:
         blackholes = np.zeros(n, dtype=bool)
-        blackholes[list(compromised)] = True
+        blackholes[list(flow.compromised)] = True
     is_dest = np.zeros(n, dtype=bool)
+    dest_aps = graph.aps_in_building(flow.dest_building)
     if len(dest_aps):
         is_dest[list(dest_aps)] = True
 
@@ -314,25 +322,31 @@ def run_columnar(
             return
         transmissions += 1
         transmitters.add(ap_id)
-        start = indptr[ap_id]
-        end = indptr[ap_id + 1]
-        k = int(end - start)
+        audience = indices[indptr[ap_id] : indptr[ap_id + 1]]
+        if generic_radio:
+            # The radio owns delays and loss draws, so its receptions
+            # need not share a timestamp: one group per reception.
+            for rec in radio.receptions(audience.tolist(), rng):
+                receiver = np.array([rec.receiver_id], dtype=indices.dtype)
+                push(heap, (now + rec.delay_s, seq, _RECEIVE, receiver))
+                seq += 1
+            return
+        k = audience.size
         if k == 0:
             return
-        if unit_disk:
-            push(heap, (now + tx_delay, seq, _RECEIVE, indices[start:end]))
-            seq += k
-        else:  # lossy: one draw per alive neighbour, adjacency order
+        if lossy:  # one draw per alive neighbour, adjacency order
             draws = np.fromiter(
                 (rng_random() for _ in range(k)), dtype=np.float64, count=k
             )
-            kept = indices[start:end][draws >= loss_p]
-            if kept.size:
-                push(heap, (now + tx_delay, seq, _RECEIVE, kept))
-                seq += kept.size
+            audience = audience[draws >= loss_p]
+            k = audience.size
+            if k == 0:
+                return
+        push(heap, (now + tx_delay, seq, _RECEIVE, audience))
+        seq += k
 
     seen[source_ap] = True
-    if source_in_dest:
+    if graph.building_id_list()[source_ap] == flow.dest_building:
         delivered = True
         delivery_time = 0.0
     do_transmit(0.0, source_ap)
@@ -359,6 +373,15 @@ def run_columnar(
             rebroadcasters = fresh
             if blackholes is not None:
                 rebroadcasters = rebroadcasters[~blackholes[rebroadcasters]]
+            if verdicts is None:
+                # Lazy lane: verdict then jitter per receiver, which is
+                # the reference order when both draw from one RNG.
+                for v in rebroadcasters.tolist():
+                    if should_rebroadcast(aps[v]):
+                        delay = rng_uniform(0.0, jitter) if jitter > 0.0 else 0.0
+                        push(heap, (time + delay, seq, _TRANSMIT, v))
+                        seq += 1
+                continue
             rebroadcasters = rebroadcasters[verdicts[rebroadcasters]]
             if jitter > 0.0:
                 for v in rebroadcasters.tolist():
@@ -386,7 +409,7 @@ def run_columnar(
 
 
 # ----------------------------------------------------------------------
-# Batch entry point
+# Entry point
 # ----------------------------------------------------------------------
 @dataclass
 class FlowSpec:
@@ -411,9 +434,7 @@ def simulate_broadcast_batch(
     The mesh is frozen once (dead-filtered CSR + dead mask) and each
     flow runs with its own policy, RNG, and destination.  Results are
     byte-identical to calling :func:`~repro.sim.simulate_broadcast`
-    (``fast=True``) once per flow with the same arguments — flows that
-    the columnar kernel cannot express (stateful policies, custom
-    radios) fall back to the scalar fastpath per flow.
+    once per flow with the same arguments, with either ``fast=`` value.
 
     Raises:
         ValueError: if any flow's source AP is dead (checked up front,
@@ -424,57 +445,12 @@ def simulate_broadcast_batch(
             raise ValueError(
                 f"source AP {flow.source_ap} is dead and cannot inject"
             )
+    if not flows:
+        return []
     if radio is None:
         radio = UnitDiskRadio()
     if params is None:
         params = SimParams()
-    radio_kind = type(radio)
-    unit_disk = radio_kind is UnitDiskRadio
-    lossy = radio_kind is LossyRadio
-
-    frozen: FrozenEpoch | None = None
-    results: list[BroadcastResult] = []
-    for flow in flows:
-        verdicts = (
-            policy_verdict_array(flow.policy, graph)
-            if (unit_disk or lossy)
-            else None
-        )
-        if verdicts is None:
-            from .fastpath import simulate_broadcast_fast
-
-            _M_SCALAR_FALLBACKS.inc()
-            results.append(
-                simulate_broadcast_fast(
-                    graph,
-                    flow.source_ap,
-                    flow.dest_building,
-                    flow.policy,
-                    flow.rng,
-                    radio=radio,
-                    params=params,
-                    compromised=flow.compromised,
-                    dead_aps=dead_aps,
-                )
-            )
-            continue
-        if frozen is None:
-            frozen = frozen_epoch(graph, dead_aps)
-        _M_COLUMNAR_FLOWS.inc()
-        building_ids = graph.building_id_list()
-        results.append(
-            run_columnar(
-                frozen,
-                flow.source_ap,
-                graph.aps_in_building(flow.dest_building),
-                building_ids[flow.source_ap] == flow.dest_building,
-                verdicts,
-                flow.rng,
-                unit_disk,
-                radio.tx_delay_s,
-                radio.loss_probability if lossy else 0.0,
-                params,
-                flow.compromised,
-            )
-        )
-    return results
+    frozen = frozen_epoch(graph, dead_aps)
+    _M_COLUMNAR_FLOWS.inc(len(flows))
+    return [run_columnar(frozen, graph, flow, radio, params) for flow in flows]

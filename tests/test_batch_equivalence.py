@@ -1,8 +1,8 @@
 """Batched-vs-sequential equivalence for the columnar epoch fan-out.
 
 ``simulate_broadcast_batch`` over N flows must be byte-identical to N
-sequential ``simulate_broadcast(fast=True)`` calls *and* to the
-reference DES engine, for the same per-flow seeds — across policies,
+sequential one-flow ``simulate_broadcast(fast=True)`` calls *and* to
+the reference DES engine, for the same per-flow seeds — across policies,
 radios, dead-AP masks, and seeds.  The frozen world (dead-filtered CSR,
 cached verdict arrays) is shared state between flows, so these tests
 deliberately mix flows that exercise it differently and re-run batches
@@ -70,15 +70,18 @@ def flow_args(world, plan, n_flows, base_seed, policy_kind="flood"):
             for i, src in enumerate(sources)]
 
 
-def assert_batch_matches(world, args, radio_factory=None, dead_aps=frozenset()):
-    """Batch == sequential fastpath == reference DES, field by field."""
-    flows = [
+def flow_specs(args):
+    return [
         FlowSpec(source_ap=src, dest_building=dst, policy=make_policy(),
                  rng=random.Random(seed))
         for src, dst, make_policy, seed in args
     ]
+
+
+def assert_batch_matches(world, args, radio_factory=None, dead_aps=frozenset()):
+    """Batch == sequential one-flow == reference DES, field by field."""
     batch = simulate_broadcast_batch(
-        world.graph, flows,
+        world.graph, flow_specs(args),
         radio=radio_factory() if radio_factory else None,
         dead_aps=dead_aps,
     )
@@ -115,9 +118,8 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("base_seed", [0, 5])
     def test_gossip_batch_falls_back_identically(self, world, plan, base_seed):
-        # Gossip policies draw per-AP RNG and cannot be expressed
-        # columnarly; the batch path must still match via its scalar
-        # fallback.
+        # Gossip policies draw per-AP RNG and cannot be frozen into a
+        # bitmap; the batch must still match via the lazy verdict lane.
         assert_batch_matches(
             world, flow_args(world, plan, 4, base_seed, policy_kind="gossip")
         )
@@ -141,13 +143,27 @@ class TestBatchEquivalence:
         assert_batch_matches(world, args, dead_aps=dead)
 
     def test_mixed_policies_one_batch(self, world, plan):
-        # One frozen world shared by flood, conduit, and fallback flows.
+        # One frozen world shared by flood, conduit, and lazy-lane flows.
         args = (
             flow_args(world, plan, 2, 1)
             + flow_args(world, plan, 2, 101, policy_kind="conduit")
             + flow_args(world, plan, 2, 201, policy_kind="gossip")
         )
         assert_batch_matches(world, args)
+
+    def test_bitmap_and_lazy_flows_under_one_dead_set(self, world, plan):
+        # Both verdict lanes read the same dead-filtered CSR.
+        args = (
+            flow_args(world, plan, 2, 3, policy_kind="conduit")
+            + flow_args(world, plan, 3, 303, policy_kind="gossip")
+            + flow_args(world, plan, 1, 403)
+        )
+        sources = {a[0] for a in args}
+        dead = frozenset(
+            a for a in range(0, len(world.graph), 6) if a not in sources
+        )
+        results = assert_batch_matches(world, args, dead_aps=dead)
+        assert all(not r.heard & dead for r in results)
 
     def test_batch_repeats_are_stable(self, world, plan):
         # Re-running the same batch (warm caches) must not drift.
@@ -166,28 +182,16 @@ class TestBatchEquivalence:
         assert simulate_broadcast_batch(world.graph, []) == []
 
     def test_scalar_fallback_is_counted(self, world, plan):
-        # A silent 10x slowdown must not be silent: every flow that
-        # leaves the columnar kernel bumps a registry counter that
-        # surfaces in ``REGISTRY.snapshot()`` (repro obs show, the
-        # service /v1/stats endpoint).
+        # There is no scalar fallback left to count: a gossip batch is
+        # kernel flows like any other, and ``sim.columnar.flows``
+        # advances by exactly the batch size.
         from repro.obs import REGISTRY
 
-        fallbacks = REGISTRY.counter("sim.columnar.scalar_fallbacks")
         columnar = REGISTRY.counter("sim.columnar.flows")
+        for kind, n_flows in (("gossip", 3), ("flood", 4)):
+            flows = flow_specs(flow_args(world, plan, n_flows, 11, policy_kind=kind))
+            before = columnar.value
+            simulate_broadcast_batch(world.graph, flows)
+            assert columnar.value - before == n_flows
 
-        before_fb, before_col = fallbacks.value, columnar.value
-        assert_batch_matches(
-            world, flow_args(world, plan, 3, 11, policy_kind="gossip")
-        )
-        batch_fb = fallbacks.value - before_fb
-        # assert_batch_matches also runs each flow through the
-        # sequential fastpath and reference engines, which may count
-        # their own fallbacks — the batch alone accounts for >= 3.
-        assert batch_fb >= 3
-
-        before_fb, before_col = fallbacks.value, columnar.value
-        assert_batch_matches(world, flow_args(world, plan, 4, 12))
-        assert columnar.value - before_col >= 4
-        assert fallbacks.value == before_fb  # flood stays columnar
-
-        assert "sim.columnar.scalar_fallbacks" in REGISTRY.snapshot()["counters"]
+        assert "sim.columnar.flows" in REGISTRY.snapshot()["counters"]

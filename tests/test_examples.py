@@ -29,7 +29,6 @@ class TestExamples:
             "city_survey.py",
             "bridge_planning.py",
             "emergency_services.py",
-            "regional_federation.py",
         } <= names
 
     def test_quickstart(self):
@@ -53,11 +52,6 @@ class TestExamples:
         assert "[alert]" in out
         assert "[geocast]" in out
         assert "payer flagged: True" in out
-
-    def test_regional_federation(self):
-        out = run_example("regional_federation.py")
-        assert "DELIVERED" in out
-        assert "long-haul" in out
 
     @pytest.mark.slow
     def test_city_survey(self):

@@ -1,4 +1,4 @@
-"""Seeded equivalence: the fastpath kernel must reproduce the reference
+"""Seeded equivalence: the broadcast kernel must reproduce the reference
 engine bit-for-bit for every policy/radio/suppression combination."""
 
 import random
@@ -15,9 +15,9 @@ from repro.sim import (
     FloodPolicy,
     GossipPolicy,
     LossyRadio,
+    Reception,
     SimParams,
     simulate_broadcast,
-    simulate_broadcast_fast,
 )
 from repro.sim.broadcast import PositionConduitPolicy
 
@@ -178,6 +178,83 @@ class TestParamsEquivalence:
         )
 
 
+class StaggeredRadio:
+    """A radio outside the built-in types: per-receiver delays drawn
+    from a few discrete values (so receptions of different transmissions
+    tie on time and the sequence order decides) and its own loss draws."""
+
+    def receptions(self, neighbor_ids, rng):
+        return [
+            Reception(receiver_id=n, delay_s=0.001 * (1 + n % 3))
+            for n in neighbor_ids
+            if rng.random() >= 0.2
+        ]
+
+
+class TestLaneEquivalence:
+    """The lazy verdict lane and the generic radio lane, alone and
+    combined with each other and with the built-in lanes."""
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_custom_radio(self, world, endpoints, seed):
+        _, dst, src_ap = endpoints
+        result = assert_identical(
+            world.graph, src_ap, dst, FloodPolicy, seed,
+            radio_factory=StaggeredRadio,
+        )
+        assert result.duplicates > 0
+
+    def test_custom_radio_with_gossip_suppression_and_dead_aps(
+        self, world, endpoints
+    ):
+        _, dst, src_ap = endpoints
+        dead = frozenset(a for a in range(0, len(world.graph), 5) if a != src_ap)
+        result = assert_identical(
+            world.graph, src_ap, dst,
+            lambda: GossipPolicy(0.8, random.Random(5)), seed=21,
+            radio_factory=StaggeredRadio,
+            params=SimParams(suppression_threshold=2),
+            compromised=frozenset(range(1, len(world.graph), 11)),
+            dead_aps=dead,
+        )
+        assert result.suppressed > 0
+        assert not result.heard & dead
+
+    @pytest.mark.parametrize("loss", [0.1, 0.4])
+    def test_lossy_radio_and_gossip_sharing_the_sim_rng(
+        self, world, endpoints, loss
+    ):
+        """Loss draws at transmit time interleave with gossip and jitter
+        draws at reception time on one stream."""
+        _, dst, src_ap = endpoints
+        results = []
+        for fast in (False, True):
+            rng = random.Random(31)
+            results.append(
+                simulate_broadcast(
+                    world.graph, src_ap, dst, GossipPolicy(0.6, rng), rng,
+                    radio=LossyRadio(loss_probability=loss), fast=fast,
+                )
+            )
+        assert results[0].transmissions > 1
+        for field in RESULT_FIELDS:
+            assert getattr(results[0], field) == getattr(results[1], field), field
+
+    def test_conduit_memo_seeded_by_a_prior_run_is_honoured(
+        self, world, endpoints, plan
+    ):
+        src, dst, src_ap = endpoints
+        policies = [ConduitPolicy(plan.conduits, world.city) for _ in range(2)]
+        for policy in policies:
+            simulate_broadcast(
+                world.graph, src_ap, dst, policy, random.Random(0), fast=False
+            )
+            # A memo entry the geometry would contradict: only a lazy
+            # evaluation through the memo reproduces the reference.
+            policy._memo[src] = not policy._memo[src]
+        assert_identical(world.graph, src_ap, dst, policies.pop, seed=2)
+
+
 class TestDeadAPEquivalence:
     """``dead_aps`` must behave identically across engines without any
     APGraph rebuild — dead APs never receive, transmit, or deliver."""
@@ -310,15 +387,3 @@ class TestEdgeCases:
             graph, 0, n, lambda: ConduitPolicy(plan.conduits, city), seed=0
         )
         assert result.delivered
-
-    def test_direct_fastpath_entrypoint(self, world, endpoints):
-        """simulate_broadcast_fast is callable directly too."""
-        _, dst, src_ap = endpoints
-        direct = simulate_broadcast_fast(
-            world.graph, src_ap, dst, FloodPolicy(), random.Random(0)
-        )
-        dispatched = simulate_broadcast(
-            world.graph, src_ap, dst, FloodPolicy(), random.Random(0)
-        )
-        for field in RESULT_FIELDS:
-            assert getattr(direct, field) == getattr(dispatched, field), field
