@@ -8,44 +8,16 @@ Benches that sweep independent trials run through a shared
 :class:`~repro.experiments.TrialRunner`; set ``BENCH_WORKERS`` to fan
 them out over processes (results are identical for any worker count —
 that invariance is part of what the suite checks).
-
-Benches that emit a JSON perf record wrap :func:`perf_recording` in a
-module-scoped ``perf_record`` fixture.
 """
 
-import json
 import os
-import time
 
 import pytest
 
 from repro.experiments import TrialRunner, build_world
 from repro.measurement import run_study
-from repro.obs import RunManifest
 
 BENCH_WORKERS = int(os.environ.get("BENCH_WORKERS", "1"))
-
-
-def perf_recording(bench, env_var, seed=0, **config):
-    """Yield a bench's perf record; dump it when the fixture tears down.
-
-    The record starts as ``{"bench": bench, **config}`` and tests add
-    their measurements to it.  At teardown it gains the run manifest
-    and a timestamp, is printed as ``<NAME>_PERF_RECORD <json>`` (for
-    ``env_var`` ``<NAME>_PERF_JSON``) and, when ``env_var`` is set,
-    written to the file it names.
-    """
-    record = {"bench": bench, **config}
-    manifest = RunManifest.begin(config=dict(record), seed=seed)
-    yield record
-    record["manifest"] = manifest.finish().to_dict()
-    record["timestamp"] = time.time()
-    payload = json.dumps(record, indent=2, sort_keys=True)
-    path = os.environ.get(env_var)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
-    print("\n" + env_var.removesuffix("_JSON") + "_RECORD " + payload)
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,8 @@ any shortest path decomposes into maximal intra-region segments whose
 endpoints are borders (or the terminals), and each such segment's
 weight is ≥ the contracted edge weight by definition of ``D``.
 
-``D`` is computed by batched multi-source Dijkstra over the region's
-intra subgraph — through :mod:`scipy.sparse.csgraph` when scipy is
-available (the container bakes it in), with a pure-Python
-:func:`~repro.buildgraph.planner.sssp_tree` fallback so the package
-stays importable without it.
+``D`` is computed by one batched multi-source Dijkstra over the
+region's intra subgraph (:mod:`scipy.sparse.csgraph`).
 """
 
 from __future__ import annotations
@@ -23,17 +20,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ...obs import REGISTRY
-from ..planner import sssp_tree
 from .partition import RegionPartition
-
-try:  # pragma: no cover - exercised via whichever path the env has
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-except ImportError:  # pragma: no cover
-    _csr_matrix = None
-    _sp_dijkstra = None
 
 _M_OVERLAY_BUILDS = REGISTRY.counter("metro.overlay_builds")
 _M_OVERLAY_BUILD_S = REGISTRY.timer("metro.overlay_build_s")
@@ -79,36 +70,22 @@ def _border_matrix(
     subgraph: dict[int, dict[int, float]],
 ) -> np.ndarray:
     """Exact border-to-border distances over the intra subgraph."""
-    n_borders = len(borders)
-    if n_borders == 0:
+    if not borders:
         return np.zeros((0, 0), dtype=np.float64)
-    if _sp_dijkstra is not None and len(members) > 2:
-        local = {b: i for i, b in enumerate(members)}
-        rows: list[int] = []
-        cols: list[int] = []
-        weights: list[float] = []
-        for u in members:
-            iu = local[u]
-            for v, w in subgraph[u].items():
-                rows.append(iu)
-                cols.append(local[v])
-                weights.append(w)
-        mat = _csr_matrix(
-            (weights, (rows, cols)), shape=(len(members), len(members))
-        )
-        src = [local[b] for b in borders]
-        dist = _sp_dijkstra(mat, directed=True, indices=src)
-        return np.ascontiguousarray(dist[:, src])
-    # Pure-Python fallback: one early-exiting Dijkstra per border.
-    D = np.full((n_borders, n_borders), np.inf, dtype=np.float64)
-    border_set = set(borders)
-    for i, b in enumerate(borders):
-        dist, _, _ = sssp_tree(subgraph.__getitem__, b, border_set)
-        for j, other in enumerate(borders):
-            d = dist.get(other)
-            if d is not None:
-                D[i, j] = d
-    return D
+    local = {b: i for i, b in enumerate(members)}
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
+    for u in members:
+        iu = local[u]
+        for v, w in subgraph[u].items():
+            rows.append(iu)
+            cols.append(local[v])
+            weights.append(w)
+    mat = csr_matrix((weights, (rows, cols)), shape=(len(members), len(members)))
+    src = [local[b] for b in borders]
+    dist = dijkstra(mat, directed=True, indices=src)
+    return np.ascontiguousarray(dist[:, src])
 
 
 def build_overlay(

@@ -46,12 +46,12 @@ CITY_PRESETS: dict[str, CityFactory] = {
 #: Metro-scale presets for the hierarchical routing regime.  Kept out
 #: of :data:`CITY_PRESETS` on purpose: the fig6 / replication sweeps
 #: enumerate that dict, and a 20k–100k-building world has no place in
-#: a per-city delivery experiment.  ``repro metro`` and bench_metro
-#: resolve these through :func:`make_city` like any other name.
+#: a per-city delivery experiment.  ``repro metro`` resolves these
+#: through :func:`make_city` like any other name.
 METRO_PRESETS: dict[str, CityFactory] = {
-    # ~20k buildings: the CI smoke size.
+    # ~20k buildings: a quick look.
     "metro-20k": lambda seed: metro_grid(seed=seed, cols=142, rows=142, name="metro-20k"),
-    # ~100k buildings: the BENCH_metro baseline size.
+    # ~100k buildings: a full metropolitan map.
     "metro-100k": lambda seed: metro_grid(seed=seed, cols=317, rows=317, name="metro-100k"),
 }
 

@@ -51,14 +51,7 @@ from .experiments import (
     sweep_weight_exponent,
 )
 from .measurement import run_study
-from .obs import (
-    DEFAULT_THRESHOLD_PCT,
-    REGISTRY,
-    close_trace,
-    compare_files,
-    set_trace_path,
-    summarize_trace,
-)
+from .obs import REGISTRY, close_trace, set_trace_path, summarize_trace
 from .scenario import (
     ARCHETYPES,
     CongestionSpec,
@@ -93,6 +86,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "(summarize it afterwards with 'obs show OUT.jsonl')"
         ),
     )
+
+
+_SCENARIO_JSON_HELP = (
+    "emit the full ScenarioResult as JSON (deterministic except its "
+    "'manifest' block: wall/CPU time, RSS, start timestamp)"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--json",
         action="store_true",
-        help="emit the full ScenarioResult as deterministic JSON",
+        help=_SCENARIO_JSON_HELP,
     )
     scen.add_parser("list", help="list the canned scenarios")
     sp = scen.add_parser(
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--json",
         action="store_true",
-        help="emit the full ScenarioResult as deterministic JSON",
+        help=_SCENARIO_JSON_HELP,
     )
     sp = scen.add_parser(
         "fuzz",
@@ -344,32 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
-    p = sub.add_parser("bench", help="benchmark tooling")
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    cp = bench_sub.add_parser(
-        "compare",
-        help="schema-aware perf regression check between two bench records",
-    )
-    cp.add_argument("baseline", help="baseline perf JSON (e.g. BENCH_*.json)")
-    cp.add_argument("current", help="freshly produced perf JSON")
-    cp.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help=(
-            "regression threshold in percent (default: "
-            f"$BENCH_COMPARE_THRESHOLD or {DEFAULT_THRESHOLD_PCT:g})"
-        ),
-    )
-    cp.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but always exit 0 (CI smoke mode)",
-    )
-    cp.add_argument(
-        "--verbose", action="store_true", help="print unchanged metrics too"
-    )
-
     p = sub.add_parser("export", help="write every artefact as CSV/text files")
     _add_common(p)
     p.add_argument("--out", default="results")
@@ -386,8 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "obs":
         return _run_obs(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "metro":
         return _run_metro(args)
     if args.command == "serve":
@@ -428,24 +399,6 @@ def _run_obs(args: argparse.Namespace) -> int:
             f"{row['mean_s']:>10.6f} {row['max_s']:>10.6f}"
         )
     return 0
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    """``bench compare``: the schema-aware regression comparator."""
-    import os as _os
-
-    threshold = args.threshold
-    if threshold is None:
-        threshold = float(
-            _os.environ.get("BENCH_COMPARE_THRESHOLD", DEFAULT_THRESHOLD_PCT)
-        )
-    return compare_files(
-        args.baseline,
-        args.current,
-        threshold_pct=threshold,
-        warn_only=args.warn_only,
-        verbose=args.verbose,
-    )
 
 
 def _run_metro(args: argparse.Namespace) -> int:

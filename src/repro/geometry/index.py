@@ -9,12 +9,20 @@ touches only the O(1) neighbouring cells.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 from .point import Point
 
 K = TypeVar("K", bound=Hashable)
+
+#: ``distance_to(center) <= radius`` is decided on rounded floats, so a
+#: point can pass it while sitting a few ulps outside
+#: ``center ± radius``.  Summed over the subtraction, the hypot and the
+#: two divisions by ``cell_size`` that is under 3 epsilon relative to
+#: ``|center| + radius``; 4 leaves margin.
+_BOUND_SLACK = 4.0 * sys.float_info.epsilon
 
 
 class GridIndex(Generic[K]):
@@ -99,17 +107,14 @@ class GridIndex(Generic[K]):
         if radius < 0:
             raise ValueError("radius must be non-negative")
         results: list[K] = []
-        cs = self.cell_size
-        min_cx = math.floor((center.x - radius) / cs)
-        max_cx = math.floor((center.x + radius) / cs)
-        min_cy = math.floor((center.y - radius) / cs)
-        max_cy = math.floor((center.y + radius) / cs)
+        cols = self._cell_span(center.x, radius)
+        rows = self._cell_span(center.y, radius)
         positions = self._positions
         # hypot (not squared distance) so boundary semantics match
         # Point.distance_to exactly — squared distances underflow for
         # denormal-scale offsets and would spuriously include points.
-        for cx in range(min_cx, max_cx + 1):
-            for cy in range(min_cy, max_cy + 1):
+        for cx in cols:
+            for cy in rows:
                 bucket = self._cells.get((cx, cy))
                 if not bucket:
                     continue
@@ -117,6 +122,26 @@ class GridIndex(Generic[K]):
                     if positions[key].distance_to(center) <= radius:
                         results.append(key)
         return results
+
+    def _cell_span(self, c: float, radius: float) -> range:
+        """Cell indices along one axis that ``[c - radius, c + radius]`` touches.
+
+        A side gains its neighbouring cell only when that bound lies
+        within rounding of a cell boundary (see ``_BOUND_SLACK``): a
+        point an ulp beyond it can still measure exactly ``radius``
+        away, and then lives one cell outside the plain range.
+        """
+        cs = self.cell_size
+        lo = (c - radius) / cs
+        hi = (c + radius) / cs
+        slack = (abs(c) + radius) / cs * _BOUND_SLACK
+        first = math.floor(lo)
+        last = math.floor(hi)
+        if lo - first <= slack:
+            first -= 1
+        if last + 1 - hi <= slack:
+            last += 1
+        return range(first, last + 1)
 
     def query_rect(
         self, min_x: float, min_y: float, max_x: float, max_y: float

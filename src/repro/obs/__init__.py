@@ -9,11 +9,9 @@ Three zero-dependency pieces every other subsystem can lean on:
   contexts that feed the registry and, when a sink is installed
   (``--trace out.jsonl`` on the CLI), emit a JSONL event stream.
 - :mod:`~repro.obs.manifest` — :class:`RunManifest` (git SHA, config
-  hash, seed, wall/CPU time, peak RSS) embedded in every benchmark and
-  scenario JSON so results carry their provenance.
-
-Plus the consumer: :mod:`~repro.obs.compare`, the schema-aware
-regression comparator behind ``repro bench compare``.
+  hash, seed, wall/CPU time, peak RSS) embedded in every scenario
+  result and pipeline-benchmark host record so results carry their
+  provenance.
 
 This package imports nothing from the rest of ``repro`` — it sits
 below every layer, so the graph core, both broadcast engines, the
@@ -21,15 +19,6 @@ trial runner, and the scenario driver can all instrument through it
 without cycles.
 """
 
-from .compare import (
-    DEFAULT_THRESHOLD_PCT,
-    CompareReport,
-    MetricDelta,
-    compare_files,
-    compare_records,
-    format_report,
-    metric_direction,
-)
 from .manifest import RunManifest, config_hash, repo_git_sha
 from .metrics import REGISTRY, Counter, Gauge, MetricsRegistry, Timer, get_registry
 from .spans import (
@@ -57,11 +46,4 @@ __all__ = [
     "RunManifest",
     "config_hash",
     "repo_git_sha",
-    "CompareReport",
-    "MetricDelta",
-    "DEFAULT_THRESHOLD_PCT",
-    "compare_records",
-    "compare_files",
-    "format_report",
-    "metric_direction",
 ]

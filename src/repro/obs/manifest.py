@@ -1,11 +1,11 @@
 """Run manifests: who produced this JSON blob, from what, at what cost.
 
-Every experiment, benchmark record, and scenario result grows a
-``manifest`` block identifying the run: the git SHA the code was at,
-a stable hash of the configuration that produced it, the seed, and the
-run's resource footprint (wall time, CPU time, peak RSS).  Two results
-can then be compared knowing whether they came from the same code and
-config — which is what makes ``repro bench compare`` trustworthy.
+Every scenario result (and the pipeline benchmark's host record)
+carries a ``manifest`` block identifying the run: the git SHA the code
+was at, a stable hash of the configuration that produced it, the seed,
+and the run's resource footprint (wall time, CPU time, peak RSS).  Two
+results can then be compared knowing whether they came from the same
+code and config.
 
 Usage::
 
@@ -15,8 +15,8 @@ Usage::
 
 The manifest is deliberately the only non-deterministic block in any
 result JSON: everything outside it stays byte-identical across runs and
-worker counts, and consumers (the comparator included) treat
-``manifest`` as metadata, never as a metric.
+worker counts, and consumers treat ``manifest`` as metadata, never as
+a metric.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Tests for the artefact export pipeline."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import export_all
@@ -59,3 +63,17 @@ class TestExport:
         out, files = exported
         again = export_all(out, seed=0, quick=True)
         assert {p.name for p in again} == {p.name for p in files}
+
+
+def test_paper_artifacts_match_pins(exported):
+    """Every seed-0 quick artefact is byte-identical to its committed
+    digest: a routing or kernel refactor must not move Table 1, a
+    figure, or the header stats.  After an intended change, regenerate
+    ``paper_pins.json`` (blake2b-8 of each file's bytes) and say so."""
+    _, files = exported
+    pins = json.loads((Path(__file__).parent / "paper_pins.json").read_text())
+    digests = {
+        p.name: hashlib.blake2b(p.read_bytes(), digest_size=8).hexdigest()
+        for p in files
+    }
+    assert digests == pins

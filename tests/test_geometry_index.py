@@ -71,6 +71,16 @@ class TestRadiusQuery:
         idx.insert("edge", Point(10, 0))
         assert idx.query_radius(Point(0, 0), 10) == ["edge"]
 
+    def test_boundary_point_one_cell_below_the_range(self):
+        """The point rounds to exactly ``radius`` away but sits in cell
+        ``y = -1``, while ``(5 - 5) / 10`` floors to cell 0."""
+        idx = GridIndex(10.0)
+        p = Point(0.0, -2.4e-231)
+        idx.insert("below", p)
+        center = Point(0.0, 5.0)
+        assert p.distance_to(center) == 5.0
+        assert idx.query_radius(center, 5.0) == ["below"]
+
     def test_negative_radius_raises(self):
         with pytest.raises(ValueError):
             GridIndex(10).query_radius(Point(0, 0), -1)

@@ -154,6 +154,20 @@ def test_batched_plan_routes_and_router_dispatch(metro_city, metro_graph):
     assert plan.route[0] == pairs[0][0] and plan.route[-1] == pairs[0][1]
 
 
+def test_batch_repeats_hit_the_route_shards(metro_graph):
+    """A traffic mix of many requests over few popular pairs: every
+    repeat is a route-shard hit."""
+    router = metro_graph.hierarchy
+    rng = random.Random(9)
+    unique = [tuple(rng.sample(range(1, N + 1), 2)) for _ in range(30)]
+    requests = [unique[rng.randrange(len(unique))] for _ in range(300)]
+    hits_before = router.stats()["route_cache_hits"]
+    results = router.plan_routes(requests)
+    assert all(r is not None for r in results)
+    hits = router.stats()["route_cache_hits"] - hits_before
+    assert hits >= len(requests) - len(unique)
+
+
 # ----------------------------------------------------------------------
 # Invalidation
 # ----------------------------------------------------------------------

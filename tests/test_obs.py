@@ -1,5 +1,5 @@
-"""Tests for the observability layer: metrics, spans, manifests, and
-the bench comparator (plus their CLI surfaces)."""
+"""Tests for the observability layer: metrics, spans, manifests (plus
+their CLI surfaces)."""
 
 import io
 import json
@@ -8,16 +8,11 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    DEFAULT_THRESHOLD_PCT,
     REGISTRY,
     MetricsRegistry,
     RunManifest,
-    compare_files,
-    compare_records,
     config_hash,
-    format_report,
     get_registry,
-    metric_direction,
     repo_git_sha,
     set_trace_sink,
     span,
@@ -209,146 +204,6 @@ class TestRunManifest:
         assert config_hash(Opaque()) == config_hash(Opaque())
 
 
-BASE_RECORD = {
-    "bench": "flood_10k",
-    "timestamp": "2026-01-01T00:00:00Z",
-    "n_aps": 10_000,
-    "build_s": 1.00,
-    "events_per_s": 500_000.0,
-    "transmissions": 9_000,
-    "fastpath_speedup": 4.0,
-    "manifest": {"git_sha": "abc"},
-}
-
-
-class TestMetricDirection:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("build_s", "lower"),
-            ("mean_epoch_s", "lower"),
-            ("epoch_p50_s", "lower"),
-            ("epoch_p95_s", "lower"),
-            ("epochs_per_s", "higher"),
-            ("transmissions", "lower"),
-            ("nodes_expanded", "lower"),
-            ("events_per_s", "higher"),
-            ("fastpath_speedup", "higher"),
-            ("delivery_rate", "higher"),
-            ("n_aps", None),
-            ("edges", None),
-        ],
-    )
-    def test_rules(self, name, expected):
-        assert metric_direction(name) == expected
-
-
-class TestCompareRecords:
-    def test_identical_records_pass(self):
-        report = compare_records(BASE_RECORD, dict(BASE_RECORD))
-        assert report.ok
-        assert report.regressions == ()
-        assert report.improvements == ()
-
-    def test_synthetic_20pct_slowdown_flagged(self):
-        """The acceptance pair: +20% duration trips the 10% default."""
-        current = dict(BASE_RECORD, build_s=1.20)
-        report = compare_records(BASE_RECORD, current)
-        assert report.threshold_pct == DEFAULT_THRESHOLD_PCT == 10.0
-        (reg,) = report.regressions
-        assert reg.name == "build_s"
-        assert reg.pct_change == pytest.approx(20.0)
-        assert not report.ok
-
-    def test_throughput_drop_is_a_regression(self):
-        current = dict(BASE_RECORD, events_per_s=300_000.0)
-        report = compare_records(BASE_RECORD, current)
-        assert [d.name for d in report.regressions] == ["events_per_s"]
-
-    def test_throughput_gain_is_an_improvement(self):
-        current = dict(BASE_RECORD, events_per_s=700_000.0)
-        report = compare_records(BASE_RECORD, current)
-        assert report.ok
-        assert [d.name for d in report.improvements] == ["events_per_s"]
-
-    def test_informational_metric_never_regresses(self):
-        current = dict(BASE_RECORD, n_aps=20_000)
-        report = compare_records(BASE_RECORD, current)
-        assert report.ok
-
-    def test_within_threshold_is_quiet(self):
-        current = dict(BASE_RECORD, build_s=1.05)
-        assert compare_records(BASE_RECORD, current).ok
-
-    def test_threshold_is_configurable(self):
-        current = dict(BASE_RECORD, build_s=1.05)
-        report = compare_records(BASE_RECORD, current, threshold_pct=3.0)
-        assert not report.ok
-
-    def test_missing_metric_fails(self):
-        current = dict(BASE_RECORD)
-        del current["build_s"]
-        report = compare_records(BASE_RECORD, current)
-        assert report.missing_in_current == ("build_s",)
-        assert not report.ok
-
-    def test_new_metric_is_ignored(self):
-        current = dict(BASE_RECORD, novel_count=5)
-        report = compare_records(BASE_RECORD, current)
-        assert report.new_in_current == ("novel_count",)
-        assert report.ok
-
-    def test_manifest_and_metadata_skipped(self):
-        current = dict(
-            BASE_RECORD,
-            manifest={"git_sha": "totally different"},
-            timestamp="2027-01-01T00:00:00Z",
-        )
-        assert compare_records(BASE_RECORD, current).ok
-
-    def test_zero_baseline(self):
-        base = dict(BASE_RECORD, transmissions=0)
-        same = compare_records(base, dict(base))
-        assert same.ok
-        worse = compare_records(base, dict(base, transmissions=5))
-        assert not worse.ok
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            compare_records(BASE_RECORD, BASE_RECORD, threshold_pct=-1)
-
-    def test_format_report_mentions_regressions(self):
-        report = compare_records(BASE_RECORD, dict(BASE_RECORD, build_s=2.0))
-        text = format_report(report)
-        assert "REGRESSED build_s" in text
-        assert "1 regression(s)" in text
-        clean = format_report(compare_records(BASE_RECORD, BASE_RECORD))
-        assert "verdict: OK" in clean
-
-
-class TestCompareFiles:
-    @pytest.fixture()
-    def records(self, tmp_path):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(BASE_RECORD))
-        cur.write_text(json.dumps(dict(BASE_RECORD, build_s=1.5)))
-        return str(base), str(cur)
-
-    def test_regression_exits_1(self, records, capsys):
-        assert compare_files(*records) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_warn_only_exits_0(self, records, capsys):
-        assert compare_files(*records, warn_only=True) == 0
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_identical_exits_0(self, records, capsys):
-        base, _ = records
-        assert compare_files(base, base) == 0
-        assert "verdict: OK" in capsys.readouterr().out
-
-
 class TestObsCli:
     def test_obs_show_registry_snapshot(self, capsys):
         REGISTRY.counter("cli.probe").inc()
@@ -376,38 +231,6 @@ class TestObsCli:
         assert main(["obs", "show", str(trace), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["x"]["count"] == 1
-
-    def test_bench_compare_cli(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(BASE_RECORD))
-        cur.write_text(json.dumps(dict(BASE_RECORD, build_s=1.5)))
-        assert main(["bench", "compare", str(base), str(cur)]) == 1
-        assert (
-            main(["bench", "compare", str(base), str(cur), "--warn-only"])
-            == 0
-        )
-        assert main(["bench", "compare", str(base), str(base)]) == 0
-
-    def test_bench_compare_threshold_flag(self, tmp_path):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(BASE_RECORD))
-        cur.write_text(json.dumps(dict(BASE_RECORD, build_s=1.5)))
-        assert (
-            main(
-                ["bench", "compare", str(base), str(cur), "--threshold", "60"]
-            )
-            == 0
-        )
-
-    def test_bench_compare_threshold_env(self, tmp_path, monkeypatch):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(BASE_RECORD))
-        cur.write_text(json.dumps(dict(BASE_RECORD, build_s=1.5)))
-        monkeypatch.setenv("BENCH_COMPARE_THRESHOLD", "60")
-        assert main(["bench", "compare", str(base), str(cur)]) == 0
 
     def test_trace_flag_writes_jsonl(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"

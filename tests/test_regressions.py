@@ -1,7 +1,12 @@
 """Regression tests for specific bugs found during development."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.city import make_city
 from repro.geometry import GridIndex, Point
 from repro.mesh import APGraph, AccessPoint, place_aps
@@ -58,3 +63,38 @@ class TestBridgeStructuresKeepDeliberateAps:
         g = APGraph(place_aps(city, rng=random.Random(1)))
         comps = g.components()
         assert len(comps[0]) / len(g.aps) > 0.95
+
+
+_HASHSEED_PROBE = """
+import sys
+from repro.cli import main
+from repro.scenario import CongestionSpec, generate_scenario, run_scenario
+
+spec = generate_scenario(
+    "compound", seed=3, epochs=4, flows=6, mobile_flows=2,
+    congestion=CongestionSpec(window_s=0.5),
+)
+print(run_scenario(spec).to_json(manifest=False))
+sys.exit(main(["loadgen", "river-flood", "--phones", "40", "--dump-trace", "-"]))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_scenario_json_and_loadgen_trace_ignore_pythonhashseed(self):
+        """No str-keyed set/dict order may reach the byte-exact outputs:
+        a generated scenario's deterministic JSON and the loadgen trace
+        are identical under two different ``PYTHONHASHSEED`` values."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for hashseed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", _HASHSEED_PROBE],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr[-2000:]
+            outputs.append(result.stdout)
+        assert len(outputs[0]) > 10_000  # both documents were printed
+        assert outputs[0] == outputs[1]

@@ -211,6 +211,7 @@ class TestDriver:
         with ScenarioDriver(_small_spec(epochs=1)) as driver:
             result = driver.run()
         assert len(result.epochs) == 1
+        assert len(driver.epoch_wall_s) == 1  # one wall time per epoch
 
 
 class TestResultSerialization:

@@ -696,6 +696,7 @@ def test_loadgen_inprocess_replay_is_clean():
             await app.close()
         assert report.errors == 0
         assert report.rejects == 0
+        assert report.confirms > 0  # the trace exercises push-confirm
         # Everything succeeds except the occasional typed confirm
         # refusal: a message a check delivered while its push record
         # was still in the forwarder queue gets its late closed-loop
