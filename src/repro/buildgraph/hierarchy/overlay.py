@@ -10,8 +10,12 @@ any shortest path decomposes into maximal intra-region segments whose
 endpoints are borders (or the terminals), and each such segment's
 weight is ≥ the contracted edge weight by definition of ``D``.
 
-``D`` is computed by one batched multi-source Dijkstra over the
-region's intra subgraph (:mod:`scipy.sparse.csgraph`).
+A :class:`RegionOverlay` holds the region's intra edges as one scipy
+CSR matrix over its sorted members, the building ↔ row maps, the
+border rows, ``D`` (one batched multi-source
+:func:`scipy.sparse.csgraph.dijkstra` over that CSR) and the
+cross-region edges.  The router runs every per-query search — terminal
+trees and leg expansion — on the same CSR.
 """
 
 from __future__ import annotations
@@ -36,15 +40,18 @@ class RegionOverlay:
 
     Attributes:
         region: index into the partition's region list.
+        members: the region's live buildings, ascending id order (row
+            ``i`` of :attr:`csr` is ``members[i]``).
+        local: building id → row in :attr:`csr`.
+        csr: ``(M, M)`` intra-region adjacency (edges whose both
+            endpoints live in the region), weights as in the graph.
         borders: member buildings with at least one cross-region edge,
             ascending id order (``D`` rows/columns align with this).
-        border_local: building id → row index in ``D``.
+        border_rows: ``csr`` row of each border, aligned with
+            :attr:`borders`.
         D: ``(B, B)`` float64 exact intra-region border-to-border
             shortest-path weights; ``inf`` where the region's interior
             does not connect the pair.
-        subgraph: the region's intra adjacency (edges whose both
-            endpoints live in the region), used for terminal Dijkstra
-            and leg expansion.
         cross: original cross-region edges ``(border, other, weight)``
             leaving this region; ``other`` is by construction a border
             of its own region.
@@ -53,39 +60,24 @@ class RegionOverlay:
     """
 
     region: int
+    members: tuple[int, ...]
+    local: dict[int, int]
+    csr: csr_matrix
     borders: tuple[int, ...]
-    border_local: dict[int, int]
+    border_rows: np.ndarray
     D: np.ndarray
-    subgraph: dict[int, dict[int, float]]
     cross: list[tuple[int, int, float]] = field(default_factory=list)
     built_version: int = 0
 
     def __len__(self) -> int:
-        return len(self.subgraph)
+        return len(self.members)
 
-
-def _border_matrix(
-    members: list[int],
-    borders: tuple[int, ...],
-    subgraph: dict[int, dict[int, float]],
-) -> np.ndarray:
-    """Exact border-to-border distances over the intra subgraph."""
-    if not borders:
-        return np.zeros((0, 0), dtype=np.float64)
-    local = {b: i for i, b in enumerate(members)}
-    rows: list[int] = []
-    cols: list[int] = []
-    weights: list[float] = []
-    for u in members:
-        iu = local[u]
-        for v, w in subgraph[u].items():
-            rows.append(iu)
-            cols.append(local[v])
-            weights.append(w)
-    mat = csr_matrix((weights, (rows, cols)), shape=(len(members), len(members)))
-    src = [local[b] for b in borders]
-    dist = dijkstra(mat, directed=True, indices=src)
-    return np.ascontiguousarray(dist[:, src])
+    def nbytes(self) -> int:
+        """Bytes held by ``D`` and the region CSR."""
+        csr = self.csr
+        return int(
+            self.D.nbytes + csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        )
 
 
 def build_overlay(
@@ -102,32 +94,45 @@ def build_overlay(
     """
     t0 = time.perf_counter()
     region_of = partition.region_of
-    members = sorted(
+    members = tuple(sorted(
         b for b in partition.live_members(region_idx) if b in graph
-    )
-    subgraph: dict[int, dict[int, float]] = {}
+    ))
+    local = {b: i for i, b in enumerate(members)}
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
     cross: list[tuple[int, int, float]] = []
     borders: list[int] = []
     for u in members:
-        intra: dict[int, float] = {}
+        iu = local[u]
         is_border = False
         for v, w in graph.neighbors(u).items():
             if region_of.get(v) == region_idx:
-                intra[v] = w
+                rows.append(iu)
+                cols.append(local[v])
+                weights.append(w)
             else:
                 cross.append((u, v, w))
                 is_border = True
-        subgraph[u] = intra
         if is_border:
             borders.append(u)
-    border_tuple = tuple(borders)  # ascending: members were sorted
-    D = _border_matrix(members, border_tuple, subgraph)
+    n = len(members)
+    csr = csr_matrix((weights, (rows, cols)), shape=(n, n))
+    border_rows = np.array([local[b] for b in borders], dtype=np.int64)
+    if borders:
+        D = np.ascontiguousarray(
+            dijkstra(csr, directed=True, indices=border_rows)[:, border_rows]
+        )
+    else:
+        D = np.zeros((0, 0), dtype=np.float64)
     overlay = RegionOverlay(
         region=region_idx,
-        borders=border_tuple,
-        border_local={b: i for i, b in enumerate(border_tuple)},
+        members=members,
+        local=local,
+        csr=csr,
+        borders=tuple(borders),  # ascending: members were sorted
+        border_rows=border_rows,
         D=D,
-        subgraph=subgraph,
         cross=cross,
         built_version=built_version if built_version is not None else graph.version,
     )

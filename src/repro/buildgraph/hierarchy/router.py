@@ -1,40 +1,48 @@
 """MetroRouter: exact hierarchical planning over contracted regions.
 
-Planning a route runs three stages:
+Every search runs on :func:`scipy.sparse.csgraph.dijkstra`.  Planning a
+route runs three stages:
 
-1. **Terminal Dijkstra** — a full single-source tree over the source
-   and destination regions' intra subgraphs (cached per region, so a
-   batch reusing sources pays once).
-2. **Overlay A*** — Dijkstra/A* over the global border graph, where
-   settling a border relaxes *all* of its region's borders in one
-   numpy row operation against the region's contracted matrix ``D``,
-   plus the original cross-region edges one by one.  Virtual source
-   and destination attachment comes from the terminal trees, and with
-   the graph's consistent straight-line heuristic the search stops as
-   soon as the heap front can no longer beat the best complete route.
-3. **Expansion** — only the contracted edges on the winning border
-   chain expand to full intra-region paths (per-region LRU cached);
-   cross edges are literal hops.
+1. **Terminal trees** — one full single-source tree over the source
+   region's CSR and one over the destination region's.
+2. **Overlay search** — one Dijkstra over the global overlay CSR, whose
+   nodes are every border plus a virtual source ``S`` and target ``T``
+   and whose edges are each region's contracted ``D`` entries, the
+   original cross-region edges, and ``S→border`` / ``border→T`` /
+   ``S→T`` attachments.  The attachment weights are ``inf``
+   placeholders; a query writes the source tree's distances into
+   ``S→b`` for the source region's borders, the destination tree's into
+   ``b→T`` for the destination region's, and (same region) the direct
+   distance into ``S→T``, searches from ``S``, and restores the
+   placeholders.  The predecessor walk ``T→S`` is the border chain.
+3. **Expansion** — consecutive chain borders in one region are a
+   contracted leg, expanded by a region Dijkstra cut off at the leg's
+   ``D`` weight (per-region LRU cached); other hops are literal cross
+   edges.
 
-The result is cost-identical to the flat planner (see
-:mod:`.overlay` for the exactness argument); only float association
-order differs.  Caches — route, negative, leg-expansion, terminal —
-shard per region, and a mutation listener on the owning
-:class:`~repro.buildgraph.BuildingGraph` marks only the touched
+The result is cost-identical to the flat planner (see :mod:`.overlay`
+for the exactness argument); the terminal distances and ``D`` are
+added in the order the flat search adds them.  Route and
+leg-expansion caches shard per region, and a mutation listener on the
+owning :class:`~repro.buildgraph.BuildingGraph` marks only the touched
 regions dirty so a patch rebuilds a couple of overlays, not the metro.
+
+A router is not reentrant: :meth:`MetroRouter.plan` writes per-query
+weights into the shared overlay CSR, on top of the LRUs and counters
+every call updates.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from heapq import heappop, heappush
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ...obs import REGISTRY
 from ..lru import LRUCache
-from ..planner import NoRouteError, extract_route, heap_search, sssp_tree
+from ..planner import NoRouteError
 from .overlay import RegionOverlay, build_overlay
 from .partition import (
     DEFAULT_REGION_SIZE,
@@ -48,14 +56,23 @@ _M_SETTLED = REGISTRY.counter("metro.overlay_settled")
 _M_REBUILDS = REGISTRY.counter("metro.region_rebuilds")
 
 # Per-shard cache bounds.  Routes/legs are tuples of building ids, so
-# shard_count * bound * route_length bounds retained bytes; terminal
-# entries hold two region-sized dicts and get a much smaller bound.
+# shard_count * bound * route_length bounds retained bytes.
 DEFAULT_ROUTE_CACHE_PER_REGION = 256
 DEFAULT_EXPANSION_CACHE_PER_REGION = 512
-DEFAULT_TERMINAL_CACHE_PER_REGION = 4
 
 # Sentinel for pairs proven unroutable (mirrors the flat planner).
 _NO_ROUTE = object()
+
+
+def _tree_path(overlay: RegionOverlay, pred: np.ndarray, row: int) -> list[int]:
+    """Buildings from ``row`` back to the root of a scipy predecessor tree."""
+    members = overlay.members
+    path = [members[row]]
+    row = pred[row]
+    while row >= 0:
+        path.append(members[row])
+        row = pred[row]
+    return path
 
 
 class MetroRouter:
@@ -65,9 +82,8 @@ class MetroRouter:
         graph: the :class:`~repro.buildgraph.BuildingGraph` to plan
             over; a mutation listener is registered on it.
         partition: a :class:`RegionPartition` covering the graph.
-        route_cache_per_region / expansion_cache_per_region /
-        terminal_cache_per_region: LRU bounds for the per-region cache
-            shards.
+        route_cache_per_region / expansion_cache_per_region: LRU bounds
+            for the per-region cache shards.
 
     Overlays build lazily on first plan (or explicitly via
     :meth:`build_overlays`); mutations mark only touched regions dirty.
@@ -79,7 +95,6 @@ class MetroRouter:
         partition: RegionPartition,
         route_cache_per_region: int = DEFAULT_ROUTE_CACHE_PER_REGION,
         expansion_cache_per_region: int = DEFAULT_EXPANSION_CACHE_PER_REGION,
-        terminal_cache_per_region: int = DEFAULT_TERMINAL_CACHE_PER_REGION,
     ):
         self.graph = graph
         self.partition = partition
@@ -92,20 +107,16 @@ class MetroRouter:
         self._expansion_shards = [
             LRUCache(maxsize=expansion_cache_per_region) for _ in range(k)
         ]
-        self._terminal_shards = [
-            LRUCache(maxsize=terminal_cache_per_region) for _ in range(k)
-        ]
-        # Global border index, rebuilt after overlay rebuilds: gid →
-        # building / region / local row, per-region gid arrays, border
-        # centroid arrays for the A* heuristic, gid-translated cross
-        # edges.
+        # Global overlay, rebuilt after overlay rebuilds: gid → building
+        # / region / index in the region's ``D``, per-region gid arrays,
+        # the overlay CSR and the data positions of its attachments.
         self._gid_building: list[int] = []
-        self._gid_region: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._gid_region: list[int] = []
         self._gid_local: list[int] = []
         self._region_gids: list[np.ndarray] = []
-        self._cross: list[list[tuple[int, float]]] = []
-        self._px = np.zeros(0, dtype=np.float64)
-        self._py = np.zeros(0, dtype=np.float64)
+        self._overlay = csr_matrix((2, 2))
+        self._source_pos = 0
+        self._target_pos = np.zeros(0, dtype=np.int64)
         self._stats = {
             "plan_calls": 0,
             "searches": 0,
@@ -169,7 +180,6 @@ class MetroRouter:
                 self.graph, self.partition, r, built_version=version
             )
             self._expansion_shards[r].clear()
-            self._terminal_shards[r].clear()
             self._stats["region_rebuilds"] += 1
             _M_REBUILDS.inc()
         self._dirty.clear()
@@ -177,32 +187,44 @@ class MetroRouter:
         self._stats["overlay_build_time_s"] += time.perf_counter() - t0
 
     def _reindex(self) -> None:
-        """Rebuild the global border-gid view from current overlays."""
+        """Rebuild the global overlay CSR from current region overlays.
+
+        Borders get gids region by region; ``S`` is gid ``total`` and
+        ``T`` is ``total + 1``.  The CSR holds no duplicate
+        ``(row, col)`` (scipy would sum them): ``D`` entries join
+        borders of one region, cross edges borders of two, and each
+        attachment is added once.  Its indices are sorted, so ``S``'s
+        row lists every border then ``T``, and each border row ends
+        with its ``→T`` entry.
+        """
         gid_building: list[int] = []
         gid_region: list[int] = []
         gid_local: list[int] = []
         region_gids: list[np.ndarray] = []
         gid_of: dict[int, int] = {}
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        data: list[np.ndarray] = []
         for r, overlay in enumerate(self._overlays):
             borders = overlay.borders if overlay is not None else ()
-            gids = np.empty(len(borders), dtype=np.int64)
-            for i, b in enumerate(borders):
-                g = len(gid_building)
-                gid_of[b] = g
-                gid_building.append(b)
-                gid_region.append(r)
-                gid_local.append(i)
-                gids[i] = g
+            start = len(gid_building)
+            gids = np.arange(start, start + len(borders), dtype=np.int64)
+            gid_of.update(zip(borders, range(start, start + len(borders))))
+            gid_building.extend(borders)
+            gid_region.extend([r] * len(borders))
+            gid_local.extend(range(len(borders)))
             region_gids.append(gids)
-        total = len(gid_building)
-        centroid = self.graph.centroid
-        px = np.empty(total, dtype=np.float64)
-        py = np.empty(total, dtype=np.float64)
-        for g, b in enumerate(gid_building):
-            c = centroid(b)
-            px[g] = c.x
-            py[g] = c.y
-        cross: list[list[tuple[int, float]]] = [[] for _ in range(total)]
+            if len(borders) > 1:
+                D = overlay.D
+                i, j = np.nonzero(np.isfinite(D))
+                off = i != j
+                i, j = i[off], j[off]
+                rows.append(gids[i])
+                cols.append(gids[j])
+                data.append(D[i, j])
+        cross_rows: list[int] = []
+        cross_cols: list[int] = []
+        cross_w: list[float] = []
         for overlay in self._overlays:
             if overlay is None:
                 continue
@@ -210,14 +232,37 @@ class MetroRouter:
                 gv = gid_of.get(v)
                 if gv is None:  # pragma: no cover - defensive
                     continue
-                cross[gid_of[u]].append((gv, w))
+                cross_rows.append(gid_of[u])
+                cross_cols.append(gv)
+                cross_w.append(w)
+        total = len(gid_building)
+        source, target = total, total + 1
+        border_gids = np.arange(total, dtype=np.int64)
+        rows += [
+            np.asarray(cross_rows, dtype=np.int64),
+            np.full(total + 1, source, dtype=np.int64),
+            border_gids,
+        ]
+        cols += [
+            np.asarray(cross_cols, dtype=np.int64),
+            np.append(border_gids, target),
+            np.full(total, target, dtype=np.int64),
+        ]
+        data += [
+            np.asarray(cross_w, dtype=np.float64),
+            np.full(2 * total + 1, np.inf),
+        ]
+        overlay_csr = csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(total + 2, total + 2),
+        )
         self._gid_building = gid_building
-        self._gid_region = np.asarray(gid_region, dtype=np.int64)
+        self._gid_region = gid_region
         self._gid_local = gid_local
         self._region_gids = region_gids
-        self._cross = cross
-        self._px = px
-        self._py = py
+        self._overlay = overlay_csr
+        self._source_pos = int(overlay_csr.indptr[source])
+        self._target_pos = overlay_csr.indptr[1 : total + 1].astype(np.int64) - 1
         self._stats["reindexes"] += 1
 
     # ------------------------------------------------------------------
@@ -281,10 +326,9 @@ class MetroRouter:
     ) -> list[list[int] | None]:
         """Batched planning with flat-planner semantics.
 
-        ``None`` marks unroutable or unknown pairs.  Batching leverage
-        comes from the per-region caches: the terminal tree of a shared
-        source (or destination region) is computed once, and repeated
-        pairs hit the route shards.
+        ``None`` marks unroutable or unknown pairs.  Each distinct pair
+        is one :meth:`plan` search; repeated pairs hit the route shards
+        and repeated contracted legs the expansion shards.
         """
         results: list[list[int] | None] = [None] * len(pairs)
         for i, (src, dst) in enumerate(pairs):
@@ -294,163 +338,92 @@ class MetroRouter:
                 continue
         return results
 
-    def _terminal(self, building_id: int, region: int):
-        """Cached full single-source tree over the region's subgraph."""
-        shard = self._terminal_shards[region]
-        entry = shard.get(building_id)
-        if entry is None:
-            overlay = self._overlays[region]
-            dist, parent, expanded = sssp_tree(
-                overlay.subgraph.__getitem__, building_id, None
-            )
-            self._stats["terminal_sssp_runs"] += 1
-            self._stats["nodes_expanded"] += expanded
-            entry = (dist, parent)
-            shard.put(building_id, entry)
-        return entry
+    def _tree(self, overlay: RegionOverlay, row: int):
+        """Full single-source tree over the region's CSR."""
+        dist, pred = dijkstra(
+            overlay.csr, directed=True, indices=row, return_predecessors=True
+        )
+        self._stats["terminal_sssp_runs"] += 1
+        self._stats["nodes_expanded"] += int(np.isfinite(dist).sum())
+        return dist, pred
 
     def _search(
         self, src: int, dst: int, src_region: int
     ) -> list[int] | None:
-        graph = self.graph
         dst_region = self._region_of(dst)
-        dist_src, parent_src = self._terminal(src, src_region)
-        dist_dst, parent_dst = self._terminal(dst, dst_region)
-
-        best = math.inf
-        best_entry = -1  # gid of final border; -1 = direct intra route
-        if src_region == dst_region:
-            direct = dist_src.get(dst)
-            if direct is not None:
-                best = direct
+        src_overlay = self._overlays[src_region]
+        dst_overlay = self._overlays[dst_region]
+        dst_row = dst_overlay.local[dst]
+        dist_src, pred_src = self._tree(src_overlay, src_overlay.local[src])
+        dist_dst, pred_dst = self._tree(dst_overlay, dst_row)
 
         total = len(self._gid_building)
-        parent = None
-        via_contract = None
-        if total:
-            scale = graph._heuristic_scale()
-            target = graph.centroid(dst)
-            if scale > 0.0:
-                h = scale * np.hypot(self._px - target.x, self._py - target.y)
-            else:
-                h = np.zeros(total, dtype=np.float64)
-            dist = np.full(total, np.inf, dtype=np.float64)
-            parent = np.full(total, -2, dtype=np.int64)  # -2 unreached
-            via_contract = np.zeros(total, dtype=bool)
-            done = np.zeros(total, dtype=bool)
-            heap: list[tuple[float, int]] = []
-            src_overlay = self._overlays[src_region]
-            src_gids = self._region_gids[src_region]
-            for i, b in enumerate(src_overlay.borders):
-                d0 = dist_src.get(b)
-                if d0 is None:
-                    continue
-                g = int(src_gids[i])
-                dist[g] = d0
-                parent[g] = -1  # attached directly to the source
-                heappush(heap, (d0 + float(h[g]), g))
-            gid_region = self._gid_region
-            gid_local = self._gid_local
-            gid_building = self._gid_building
-            overlays = self._overlays
-            region_gids = self._region_gids
-            cross = self._cross
-            settled = 0
-            while heap:
-                f, u = heappop(heap)
-                if done[u]:
-                    continue
-                if f >= best:
-                    break  # consistent h: nothing left can beat best
-                done[u] = True
-                settled += 1
-                du = float(dist[u])
-                r = int(gid_region[u])
-                if r == dst_region:
-                    tail = dist_dst.get(gid_building[u])
-                    if tail is not None and du + tail < best:
-                        best = du + tail
-                        best_entry = u
-                # Contracted relaxation: all of region r's borders in
-                # one vector op against u's row of D.  Only borders
-                # *entered via a cross edge* need it: a source-attached
-                # border is dominated by the terminal tree (which seeds
-                # every intra-reachable border exactly), and two
-                # consecutive contracted edges are dominated by the
-                # single contracted edge relaxed at the previous border
-                # (triangle inequality inside the region).
-                if parent[u] >= 0 and not via_contract[u]:
-                    overlay = overlays[r]
-                    if len(overlay.borders) > 1:
-                        gr = region_gids[r]
-                        nd = du + overlay.D[gid_local[u]]
-                        mask = nd < dist[gr]
-                        if mask.any():
-                            upd = gr[mask]
-                            ndm = nd[mask]
-                            dist[upd] = ndm
-                            parent[upd] = u
-                            via_contract[upd] = True
-                            scores = ndm + h[upd]
-                            for g2, f2 in zip(upd.tolist(), scores.tolist()):
-                                if f2 < best:
-                                    heappush(heap, (f2, g2))
-                for g2, w in cross[u]:
-                    nd2 = du + w
-                    if nd2 < float(dist[g2]):
-                        dist[g2] = nd2
-                        parent[g2] = u
-                        via_contract[g2] = False
-                        f2 = nd2 + float(h[g2])
-                        if f2 < best:
-                            heappush(heap, (f2, g2))
-            self._stats["overlay_settled"] += settled
-            _M_SETTLED.inc(settled)
+        source = total
+        out_pos = self._source_pos + self._region_gids[src_region]
+        in_pos = self._target_pos[self._region_gids[dst_region]]
+        direct_pos = self._source_pos + total
+        weights = self._overlay.data
+        weights[out_pos] = dist_src[src_overlay.border_rows]
+        weights[in_pos] = dist_dst[dst_overlay.border_rows]
+        if src_region == dst_region:
+            weights[direct_pos] = dist_src[dst_row]
+        try:
+            dist, pred = dijkstra(
+                self._overlay,
+                directed=True,
+                indices=source,
+                return_predecessors=True,
+            )
+        finally:
+            weights[out_pos] = np.inf
+            weights[in_pos] = np.inf
+            weights[direct_pos] = np.inf
+        settled = int(np.isfinite(dist[:total]).sum())
+        self._stats["overlay_settled"] += settled
+        _M_SETTLED.inc(settled)
 
-        if not math.isfinite(best):
+        g = int(pred[total + 1])
+        if g < 0:
             return None
-        if best_entry == -1:
-            return extract_route(parent_src, src, dst)
-        # Walk the winning border chain back to the source attachment.
-        # Chain nodes are all settled, so parent/via_contract hold
-        # their final (optimal) values.
+        if g == source:
+            route = _tree_path(src_overlay, pred_src, dst_row)
+            route.reverse()
+            return route
         chain: list[int] = []
-        g = best_entry
-        while g != -1:
+        while g != source:
             chain.append(g)
-            g = int(parent[g])
+            g = int(pred[g])
         chain.reverse()
-        return self._assemble(
-            src, dst, chain, parent_src, parent_dst, via_contract
-        )
+        return self._assemble(src_overlay, pred_src, dst_overlay, pred_dst, chain)
 
     def _assemble(
-        self, src, dst, chain, parent_src, parent_dst, via_contract
+        self, src_overlay, pred_src, dst_overlay, pred_dst, chain
     ) -> list[int]:
         gid_building = self._gid_building
         gid_region = self._gid_region
-        route = extract_route(parent_src, src, gid_building[chain[0]])
-        for i in range(1, len(chain)):
-            g_prev = chain[i - 1]
-            g_cur = chain[i]
-            if via_contract[g_cur]:
-                leg = self._expand_leg(
-                    int(gid_region[g_cur]),
-                    gid_building[g_prev],
-                    gid_building[g_cur],
-                )
+        gid_local = self._gid_local
+        route = _tree_path(
+            src_overlay, pred_src, src_overlay.local[gid_building[chain[0]]]
+        )
+        route.reverse()
+        for g_prev, g_cur in zip(chain, chain[1:]):
+            region = gid_region[g_cur]
+            if gid_region[g_prev] == region:
+                leg = self._expand_leg(region, gid_local[g_prev], gid_local[g_cur])
                 route.extend(leg[1:])
             else:
                 route.append(gid_building[g_cur])  # literal cross hop
-        entry_building = gid_building[chain[-1]]
-        if entry_building != dst:
-            tail = extract_route(parent_dst, dst, entry_building)
-            tail.reverse()  # tree is rooted at dst: flip to entry → dst
-            route.extend(tail[1:])
+        entry_row = dst_overlay.local[gid_building[chain[-1]]]
+        # The destination tree is rooted at dst: walking it from the
+        # entry border already runs entry → dst.
+        route.extend(_tree_path(dst_overlay, pred_dst, entry_row)[1:])
         return route
 
-    def _expand_leg(self, region: int, a: int, b: int) -> list[int]:
-        """Full intra-region path for one contracted edge (cached)."""
+    def _expand_leg(self, region: int, i: int, j: int) -> list[int]:
+        """Full intra-region path for the contracted edge ``D[i, j]`` (cached)."""
+        overlay = self._overlays[region]
+        a = overlay.borders[i]
+        b = overlay.borders[j]
         shard = self._expansion_shards[region]
         cached = shard.get((a, b))
         if cached is not None:
@@ -461,27 +434,23 @@ class MetroRouter:
             leg.reverse()
             shard.put((a, b), tuple(leg))
             return leg
-        overlay = self._overlays[region]
-        graph = self.graph
-        scale = graph._heuristic_scale()
-        if scale > 0.0:
-            target = graph.centroid(b)
-            centroid = graph.centroid
-            heuristic = (
-                lambda n: scale * centroid(n).distance_to(target)  # noqa: E731
-            )
-        else:
-            heuristic = None
-        leg, expanded = heap_search(
-            overlay.subgraph.__getitem__, a, b, heuristic
+        dist, pred = dijkstra(
+            overlay.csr,
+            directed=True,
+            indices=overlay.border_rows[i],
+            limit=overlay.D[i, j],
+            return_predecessors=True,
         )
         self._stats["expansion_runs"] += 1
-        self._stats["nodes_expanded"] += expanded
-        if leg is None:  # pragma: no cover - contracted edge implies path
+        self._stats["nodes_expanded"] += int(np.isfinite(dist).sum())
+        row_b = overlay.border_rows[j]
+        if pred[row_b] < 0:  # pragma: no cover - contracted edge implies path
             raise NoRouteError(
                 f"overlay desync: contracted edge {a}->{b} in region "
                 f"{region} has no intra-region path"
             )
+        leg = _tree_path(overlay, pred, row_b)
+        leg.reverse()
         shard.put((a, b), tuple(leg))
         return leg
 
@@ -489,11 +458,12 @@ class MetroRouter:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
-        """Aggregated work counters and cache accounting.
+        """Aggregated work counters, cache accounting and overlay bytes.
 
-        Also publishes ``metro.*`` cache gauges (entries and
-        approximate bytes per cache family, summed over the region
-        shards) to the observability registry.
+        Also publishes ``metro.*`` gauges (entries and approximate
+        bytes per cache family, summed over the region shards, and
+        ``metro.overlay.approx_bytes``: every region's ``D`` and CSR
+        plus the global overlay CSR) to the observability registry.
         """
         out: dict[str, float] = dict(self._stats)
         out["regions"] = len(self.partition)
@@ -502,7 +472,6 @@ class MetroRouter:
         for family, shards in (
             ("route_cache", self._route_shards),
             ("expansion_cache", self._expansion_shards),
-            ("terminal_cache", self._terminal_shards),
         ):
             entries = sum(len(s) for s in shards)
             hits = sum(s.hits for s in shards)
@@ -516,6 +485,12 @@ class MetroRouter:
             out[f"{family}_approx_bytes"] = approx
             REGISTRY.gauge(f"metro.{family}.entries").set(entries)
             REGISTRY.gauge(f"metro.{family}.approx_bytes").set(approx)
+        overlay = self._overlay
+        overlay_bytes = sum(
+            o.nbytes() for o in self._overlays if o is not None
+        ) + int(overlay.data.nbytes + overlay.indices.nbytes + overlay.indptr.nbytes)
+        out["overlay_approx_bytes"] = overlay_bytes
+        REGISTRY.gauge("metro.overlay.approx_bytes").set(overlay_bytes)
         return out
 
     def shard_stats(self) -> list[dict[str, float]]:
@@ -530,11 +505,11 @@ class MetroRouter:
                     "borders": len(overlay.borders)
                     if overlay is not None
                     else 0,
+                    "overlay_bytes": overlay.nbytes() if overlay is not None else 0,
                     "route_entries": len(self._route_shards[r]),
                     "route_hits": self._route_shards[r].hits,
                     "route_approx_bytes": self._route_shards[r].approx_bytes(),
                     "expansion_entries": len(self._expansion_shards[r]),
-                    "terminal_entries": len(self._terminal_shards[r]),
                 }
             )
         return rows
@@ -543,11 +518,7 @@ class MetroRouter:
         """Zero the work counters and per-shard cache counters."""
         for k in self._stats:
             self._stats[k] = 0 if isinstance(self._stats[k], int) else 0.0
-        for shards in (
-            self._route_shards,
-            self._expansion_shards,
-            self._terminal_shards,
-        ):
+        for shards in (self._route_shards, self._expansion_shards):
             for s in shards:
                 s.reset_counters()
 

@@ -50,6 +50,7 @@ from .experiments import (
     sweep_conduit_width,
     sweep_weight_exponent,
 )
+from .city import CITY_PRESETS, METRO_PRESETS
 from .measurement import run_study
 from .obs import REGISTRY, close_trace, set_trace_path, summarize_trace
 from .scenario import (
@@ -86,6 +87,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "(summarize it afterwards with 'obs show OUT.jsonl')"
         ),
     )
+
+
+def _int_at_least(minimum: int):
+    """An argparse ``type`` accepting integers ``>= minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 _SCENARIO_JSON_HELP = (
@@ -175,14 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--preset",
         default="metro-20k",
+        choices=[*METRO_PRESETS, *CITY_PRESETS],
+        metavar="PRESET",
         help="city preset (metro-20k, metro-100k, or any regular preset)",
     )
     p.add_argument(
-        "--routes", type=int, default=200, help="random routes to plan"
+        "--routes", type=_int_at_least(0), default=200, help="random routes to plan"
     )
     p.add_argument(
         "--region-size",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="target buildings per region (default: library default)",
     )
@@ -428,7 +446,7 @@ def _run_metro(args: argparse.Namespace) -> int:
     ids = list(graph)
     latencies: list[float] = []
     unroutable = 0
-    for _ in range(max(args.routes, 0)):
+    for _ in range(args.routes):
         src, dst = rng.sample(ids, 2)
         t0 = _time.perf_counter()
         try:

@@ -1,7 +1,12 @@
 """Tests for the command-line interface (reduced scales)."""
 
+import json
+import random
+
 import pytest
 
+from repro.buildgraph import BuildingGraph, NoRouteError
+from repro.city import make_city
 from repro.cli import build_parser, main
 
 
@@ -63,3 +68,41 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "citymesh" in out
         assert "flood" in out
+
+
+class TestMetro:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--preset", "grid-downtown"],
+            ["--region-size", "0"],
+            ["--routes", "-3"],
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metro", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("citymesh metro: error: argument")
+
+    def test_json_report_matches_the_flat_planner(self, capsys):
+        argv = ["metro", "--preset", "capitolia", "--routes", "20",
+                "--region-size", "60", "--json"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["routes_planned"] == 20
+        # The same seeded pairs the command draws, on the flat planner.
+        graph = BuildingGraph(make_city("capitolia", seed=0))
+        rng = random.Random(0)
+        ids = list(graph)
+        failures = 0
+        for _ in range(20):
+            src, dst = rng.sample(ids, 2)
+            try:
+                graph.plan(src, dst)
+            except NoRouteError:
+                failures += 1
+        assert failures > 0
+        assert out["unroutable"] == failures

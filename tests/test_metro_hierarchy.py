@@ -1,9 +1,9 @@
 """Correctness tests for the metro hierarchy (repro.buildgraph.hierarchy).
 
 The contract under test: a :class:`MetroRouter` planning through
-region-contracted overlays returns routes **cost-identical** to the
-flat planner (only float association order may differ), partitioning
-is deterministic under a seed, and mutations rebuild only the touched
+region-contracted overlays returns the flat planner's routes (same
+buildings in the same order, hence the same cost), partitioning is
+deterministic under a seed, and mutations rebuild only the touched
 regions' overlays.
 """
 
@@ -11,6 +11,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.buildgraph import (
     BuildingGraph,
@@ -19,7 +21,8 @@ from repro.buildgraph import (
     attach_hierarchy,
     partition_regions,
 )
-from repro.city import Building
+from repro.buildgraph.planner import heap_search
+from repro.city import Building, make_city
 from repro.city.generators import metro_grid
 from repro.core import BuildingRouter
 from repro.geometry import Polygon
@@ -109,6 +112,7 @@ def test_cross_region_routes_match_flat_cost(metro_graph, flat_graph):
         h_cost = _route_cost(metro_graph, hier)  # validates every hop
         f_cost = _route_cost(flat_graph, flat)
         assert math.isclose(h_cost, f_cost, rel_tol=1e-9), (src, dst)
+        assert hier == flat, (src, dst)
         if len(_regions_touched(router, hier)) >= 2:
             multi_region += 1
     # The far pairs exist to exercise the overlay: nearly all must
@@ -125,9 +129,12 @@ def test_random_pairs_match_flat_cost(metro_graph, flat_graph):
     rng = random.Random(5)
     for _ in range(60):
         src, dst = rng.sample(range(1, N + 1), 2)
-        h_cost = _route_cost(metro_graph, router.plan(src, dst))
-        f_cost = _route_cost(flat_graph, flat_graph.plan(src, dst))
+        hier = router.plan(src, dst)
+        flat = flat_graph.plan(src, dst)
+        h_cost = _route_cost(metro_graph, hier)
+        f_cost = _route_cost(flat_graph, flat)
         assert math.isclose(h_cost, f_cost, rel_tol=1e-9), (src, dst)
+        assert hier == flat, (src, dst)
 
 
 def test_same_region_and_trivial_plans(metro_graph):
@@ -203,9 +210,12 @@ def test_patch_rebuilds_only_touched_regions(small_pair):
     alive = sorted(set(graph))
     for _ in range(25):
         src, dst = rng.sample(alive, 2)
-        h_cost = _route_cost(graph, router.plan(src, dst))
-        f_cost = _route_cost(flat, flat.plan(src, dst))
+        hier = router.plan(src, dst)
+        reference = flat.plan(src, dst)
+        h_cost = _route_cost(graph, hier)
+        f_cost = _route_cost(flat, reference)
         assert math.isclose(h_cost, f_cost, rel_tol=1e-9), (src, dst)
+        assert hier == reference, (src, dst)
 
 
 def test_add_link_and_building_invalidate(small_pair):
@@ -248,6 +258,95 @@ def test_disconnected_islands_raise_no_route(small_pair):
         flat.plan(1, 40)
 
 
+def _plan_or_none(planner, src, dst):
+    try:
+        return planner.plan(src, dst)
+    except NoRouteError:
+        return None
+
+
+@pytest.mark.parametrize("name, region_size", [("capitolia", 60), ("riverton", 80)])
+def test_cities_with_borderless_regions_match_flat(name, region_size):
+    """Real cities whose partitions leave whole regions without a border
+    (capitolia 2 of 5, riverton 1 of 3): such a region reaches nothing
+    outside itself, and its inner pairs route only over ``S→T``."""
+    graph = BuildingGraph(make_city(name, seed=0))
+    router = attach_hierarchy(graph, target_region_size=region_size, seed=0)
+    router.build_overlays()
+    rng = random.Random(17)
+    ids = sorted(graph)
+    for _ in range(300):
+        src, dst = rng.sample(ids, 2)
+        assert _plan_or_none(router, src, dst) == _plan_or_none(graph, src, dst), (
+            src, dst,
+        )
+    borderless = [
+        router.partition.regions[row["region"]]
+        for row in router.shard_stats()
+        if row["borders"] == 0
+    ]
+    assert borderless
+    src, *others = borderless[0].members
+    routed = 0
+    for dst in others:
+        hier = _plan_or_none(router, src, dst)
+        assert hier == _plan_or_none(graph, src, dst), (src, dst)
+        routed += hier is not None
+    assert routed
+    assert router.plan(src, src) == [src]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cols=st.integers(6, 40),
+    rows=st.integers(6, 40),
+    city_seed=st.integers(0, 2**16),
+    regions=st.integers(3, 6),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["remove", "add_link"]),
+            st.integers(0, 2**16),
+            st.integers(0, 2**16),
+            # A predicted hop weighs ~45**3 ≈ 9e4: cheap links get used.
+            st.floats(1.0, 1e5),
+        ),
+        max_size=3,
+    ),
+    probe=st.integers(0, 2**16),
+)
+def test_routes_match_flat_after_random_mutations(
+    cols, rows, city_seed, regions, steps, probe
+):
+    """Every mutation rebuilds the global overlay CSR; with every cache
+    warm from the previous step, routes must still be the flat
+    planner's.  The reference is plain Dijkstra on the same graph: an
+    announced link cheaper than its straight-line distance implies
+    breaks the scaled-euclid bound ``BuildingGraph.plan``'s A* relies
+    on (e.g. 6x11 lots, seed 0, link 1-16 at weight 1.0, 40 -> 13)."""
+    graph = BuildingGraph(
+        metro_grid(seed=city_seed, cols=cols, rows=rows, name="metro-prop")
+    )
+    router = attach_hierarchy(graph, n_regions=regions, seed=0)
+    rng = random.Random(probe)
+
+    def check():
+        alive = sorted(graph)
+        for _ in range(6):
+            src, dst = rng.sample(alive, 2)
+            flat, _ = heap_search(graph.neighbors, src, dst)
+            assert _plan_or_none(router, src, dst) == flat, (src, dst)
+
+    check()
+    for kind, a, b, weight in steps:
+        alive = sorted(graph)
+        if kind == "remove":
+            start = a % len(alive)
+            graph.patch(remove=alive[start : start + 1 + b % 4])
+        elif alive[a % len(alive)] != alive[b % len(alive)]:
+            graph.add_link(alive[a % len(alive)], alive[b % len(alive)], weight)
+        check()
+
+
 # ----------------------------------------------------------------------
 # Cache instrumentation
 # ----------------------------------------------------------------------
@@ -264,11 +363,16 @@ def test_stats_and_cache_gauges(metro_graph):
     assert stats["regions"] == len(router.partition)
     assert stats["borders"] > 0
     # stats() publishes the gauges to the shared registry.
-    for family in ("route_cache", "expansion_cache", "terminal_cache"):
+    for family in ("route_cache", "expansion_cache"):
         gauge = REGISTRY.gauge(f"metro.{family}.entries")
         assert gauge.value == stats[f"{family}_entries"]
         bytes_gauge = REGISTRY.gauge(f"metro.{family}.approx_bytes")
         assert bytes_gauge.value == stats[f"{family}_approx_bytes"]
+    # Overlay bytes: every region's D and CSR plus the global overlay.
+    region_bytes = sum(r["overlay_bytes"] for r in router.shard_stats())
+    assert stats["overlay_approx_bytes"] > region_bytes > 0
+    gauge = REGISTRY.gauge("metro.overlay.approx_bytes")
+    assert gauge.value == stats["overlay_approx_bytes"]
 
 
 def test_shard_stats_rows(metro_graph):
@@ -277,6 +381,7 @@ def test_shard_stats_rows(metro_graph):
     assert len(rows) == len(router.partition)
     assert sum(r["members"] for r in rows) == len(metro_graph)
     assert all(r["borders"] > 0 for r in rows)
+    assert all(r["overlay_bytes"] > 0 for r in rows)
     assert sum(r["route_entries"] for r in rows) >= 1
 
 
