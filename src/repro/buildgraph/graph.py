@@ -238,6 +238,9 @@ class BuildingGraph:
         self._extremes_dirty = True
         self._min_edge_m = 0.0
         self._max_edge_m = 0.0
+        #: Smallest ``weight / centroid distance`` of any link added with
+        #: an explicit weight (``inf`` while there is none).
+        self._min_link_ratio = math.inf
         self._stats = {
             "builds": 0,
             "build_time_s": 0.0,
@@ -420,11 +423,15 @@ class BuildingGraph:
             raise KeyError(building_a)
         if building_b not in self._adjacency:
             raise KeyError(building_b)
+        d = self._centroids[building_a].distance_to(self._centroids[building_b])
         if weight is None:
-            d = self._centroids[building_a].distance_to(self._centroids[building_b])
             weight = d ** self.weight_exponent
         elif weight <= 0:
             raise ValueError("link weight must be positive")
+        elif d > 0.0:
+            # An explicit weight may undercut the straight-line bound
+            # the A* heuristic assumes; remember the cheapest cost/metre.
+            self._min_link_ratio = min(self._min_link_ratio, weight / d)
         self._adjacency[building_a][building_b] = weight
         self._adjacency[building_b][building_a] = weight
         if self._listeners:
@@ -562,20 +569,20 @@ class BuildingGraph:
         lengths), so d_i^k = d_i * d_i^(k-1) >= d_i * m^(k-1) when
         k >= 1 (resp. L^(k-1) when k < 1) and summing gives
         cost >= straight_line * c.  Consistency follows the same way,
-        so A* needs no reopening.
+        so A* needs no reopening.  A link added with an explicit weight
+        ``w`` over centroid distance ``d`` only satisfies
+        ``w >= d * (w / d)``, so ``c`` is capped by the smallest such
+        ratio; graphs without explicit weights keep the bound above.
         """
         k = self.weight_exponent
         if k == 1.0:
-            return 1.0
-        if self._extremes_dirty:
-            self._recompute_edge_extremes()
-        if k > 1.0:
-            base = self._min_edge_m
+            scale = 1.0
         else:
-            base = self._max_edge_m
-        if base <= 0.0:
-            return 0.0
-        return base ** (k - 1.0)
+            if self._extremes_dirty:
+                self._recompute_edge_extremes()
+            base = self._min_edge_m if k > 1.0 else self._max_edge_m
+            scale = base ** (k - 1.0) if base > 0.0 else 0.0
+        return min(scale, self._min_link_ratio)
 
     def _check_endpoint(self, building_id: int) -> None:
         if building_id not in self._adjacency:

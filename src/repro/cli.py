@@ -71,7 +71,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_bounded(int, 1),
         default=1,
         help=(
             "worker processes for independent trials (results are "
@@ -89,19 +89,32 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _int_at_least(minimum: int):
-    """An argparse ``type`` accepting integers ``>= minimum``."""
+def _bounded(kind: type, low: float, high: float | None = None, *, low_open: bool = False):
+    """An argparse ``type`` accepting ``kind`` values from ``low``
+    (excluded with ``low_open``) up to ``high`` (included; ``None`` =
+    no cap).  NaN is refused."""
+    if high is None:
+        rule = f"> {low}" if low_open else f">= {low}"
+    else:
+        rule = f"in {'(' if low_open else '['}{low}, {high}]"
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        above = value > low if low_open else value >= low
+        if not (above and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
     return parse
+
+
+#: Every preset ``make_city`` builds, for ``--city`` choices.
+_CITY_CHOICES = [*CITY_PRESETS, *METRO_PRESETS]
 
 
 _SCENARIO_JSON_HELP = (
@@ -196,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="city preset (metro-20k, metro-100k, or any regular preset)",
     )
     p.add_argument(
-        "--routes", type=_int_at_least(0), default=200, help="random routes to plan"
+        "--routes", type=_bounded(int, 0), default=200, help="random routes to plan"
     )
     p.add_argument(
         "--region-size",
-        type=_int_at_least(1),
+        type=_bounded(int, 1),
         default=None,
         help="target buildings per region (default: library default)",
     )
@@ -232,26 +245,34 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="disaster shape to generate",
     )
-    sp.add_argument("--city", default="gridport", help="preset city")
     sp.add_argument(
-        "--epochs", type=int, default=None, help="timeline length (archetype default)"
+        "--city", default="gridport", choices=_CITY_CHOICES, metavar="CITY",
+        help="preset city",
     )
-    sp.add_argument("--flows", type=int, default=16, help="static flows per epoch")
+    sp.add_argument(
+        "--epochs",
+        type=_bounded(int, 4),
+        default=None,
+        help="timeline length, at least 4 (archetype default)",
+    )
+    sp.add_argument(
+        "--flows", type=_bounded(int, 1), default=16, help="static flows per epoch"
+    )
     sp.add_argument(
         "--intensity",
-        type=float,
+        type=_bounded(float, 0, 3, low_open=True),
         default=1.0,
         help="damage/churn/dwell scale, in (0, 3]",
     )
     sp.add_argument(
         "--mobile-flows",
-        type=int,
+        type=_bounded(int, 0),
         default=0,
         help="walkers whose endpoints follow seeded trajectories",
     )
     sp.add_argument(
         "--congestion-window",
-        type=float,
+        type=_bounded(float, 0),
         default=None,
         metavar="SECONDS",
         help=(
@@ -278,8 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(sp)
-    sp.add_argument("--count", type=int, default=5, help="timelines to draw")
-    sp.add_argument("--city", default="gridport", help="preset city")
+    sp.add_argument("--count", type=_bounded(int, 1), default=5, help="timelines to draw")
+    sp.add_argument(
+        "--city", default="gridport", choices=_CITY_CHOICES, metavar="CITY",
+        help="preset city",
+    )
 
     p = sub.add_parser("obs", help="observability: traces and metric snapshots")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
@@ -300,20 +324,29 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the always-on DFN service (postbox/geocast/directory)"
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8787, help="0 = ephemeral")
-    p.add_argument("--city", default="gridport", help="city preset the service hosts")
+    p.add_argument(
+        "--port", type=_bounded(int, 0, 65535), default=8787, help="0 = ephemeral"
+    )
+    p.add_argument(
+        "--city", default="gridport", choices=_CITY_CHOICES, metavar="CITY",
+        help="city preset the service hosts",
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=8, help="postbox store shards")
-    p.add_argument("--capacity", type=int, default=1024, help="messages per postbox")
+    p.add_argument(
+        "--shards", type=_bounded(int, 1), default=8, help="postbox store shards"
+    )
+    p.add_argument(
+        "--capacity", type=_bounded(int, 1), default=1024, help="messages per postbox"
+    )
     p.add_argument(
         "--queue-limit",
-        type=int,
+        type=_bounded(int, 1),
         default=4096,
         help="per-shard queue depth before 503 backpressure",
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_bounded(int, 1),
         default=1,
         help=(
             "worker processes accepting on a shared SO_REUSEPORT port "

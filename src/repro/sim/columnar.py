@@ -23,28 +23,32 @@ Equivalence contract
 
 Results are **bit-for-bit identical** to the reference DES engine
 (:func:`repro.sim.broadcast.simulate_broadcast` with ``fast=False``,
-kept only as the oracle tests compare against) for the same seeds.
-The kernel exploits one structural fact: all receptions pushed by a
-single transmission share one timestamp and a *contiguous* block of
-sequence numbers, so in the heap's total ``(time, seq)`` order no other
-event can interleave with them.  The whole block therefore becomes ONE
-heap entry (a view into the frozen CSR), and its per-reception effects
-(copy counters, duplicate accounting, delivery, rebroadcast selection)
-are applied with vectorized integer ops — which are exact, so equality
-with the scalar engine is structural, not approximate.  RNG draws stay
-in reference order: per-neighbour loss draws happen at transmit time in
-adjacency order, verdict and jitter draws at reception time in filtered
+kept only as the oracle tests compare against) for the same seeds, and
+the shared RNG ends in the same state.  The kernel exploits one
+structural fact: all receptions pushed by a single transmission share
+one timestamp and a *contiguous* block of sequence numbers, so in the
+heap's total ``(time, seq)`` order no other event can interleave with
+them.  The whole block therefore becomes ONE heap entry (the audience
+as a list of AP ids), and the receive handler walks it in audience
+order doing what the reference does per reception: copy counter,
+duplicate check, delivery, blackhole, verdict, jitter draw.  RNG draws
+stay in reference order: per-neighbour loss draws happen at transmit
+time in adjacency order, verdict and jitter draws at reception time in
 audience order.
 
-Two lanes cover what a frozen bitmap or an inlined radio cannot:
+The group body is a plain Python loop over scalars (``bytearray``
+flags, a ``bytes`` verdict bitmap), not numpy: an audience averages
+about 17 APs, and at that size the per-call overhead of the eight or
+so array ops a group used to take cost more than the work they did.
 
-- **lazy verdict lane** — when :func:`policy_verdict_array` returns
+The same loop covers what a frozen bitmap or an inlined radio cannot:
+
+- **lazy verdicts** — when :func:`policy_verdict_array` returns
   ``None`` (stateful gossip, user classes, a ``ConduitPolicy`` whose
-  memo is pre-seeded) the group handler walks the fresh, non-compromised
-  receivers in audience order, calling ``policy.should_rebroadcast`` and
-  drawing the jitter right after each positive verdict — the order the
-  reference consumes a shared RNG in;
-- **generic radio lane** — a radio whose type is not exactly
+  memo is pre-seeded) the loop calls ``policy.should_rebroadcast``
+  where it would read the bitmap, so a policy drawing from the
+  simulation RNG interleaves with the jitter draws as in the reference;
+- **generic radios** — a radio whose type is not exactly
   :class:`UnitDiskRadio`/:class:`LossyRadio` is asked for its
   ``receptions`` (own delays, own loss draws) and each becomes a
   single-receiver group with its own sequence number.
@@ -269,9 +273,9 @@ def run_columnar(
 
     Heap entries are ``(time, seq, kind, payload)``: a ``_TRANSMIT``
     carries one AP id, a ``_RECEIVE`` carries the whole audience of one
-    transmission as a CSR view, keyed by the *first* sequence number of
-    its contiguous block.  Sequence numbers are unique across entries,
-    so tuple comparison never reaches the payload.
+    transmission as a list of AP ids, keyed by the *first* sequence
+    number of its contiguous block.  Sequence numbers are unique across
+    entries, so tuple comparison never reaches the payload.
     """
     n = frozen.n
     indptr = frozen.indptr
@@ -279,12 +283,12 @@ def run_columnar(
     threshold = params.suppression_threshold
     jitter = params.jitter_s
     max_time = params.max_sim_time_s
-    bounded = max_time != float("inf")
 
     rng = flow.rng
-    source_ap = flow.source_ap
-    # None selects the lazy verdict lane in the receive handler.
+    # None: the policy cannot be frozen and is asked per fresh receiver.
     verdicts = policy_verdict_array(flow.policy, graph)
+    if verdicts is not None:
+        verdicts = verdicts.tobytes()
     should_rebroadcast = flow.policy.should_rebroadcast
     aps = graph.aps
     radio_kind = type(radio)
@@ -293,106 +297,73 @@ def run_columnar(
     tx_delay = 0.0 if generic_radio else radio.tx_delay_s
     loss_p = radio.loss_probability if lossy else 0.0
 
-    seen = np.zeros(n, dtype=bool)
-    copies = np.zeros(n, dtype=np.int64) if threshold is not None else None
-    blackholes = None
-    if flow.compromised:
-        blackholes = np.zeros(n, dtype=bool)
-        blackholes[list(flow.compromised)] = True
-    is_dest = np.zeros(n, dtype=bool)
-    dest_aps = graph.aps_in_building(flow.dest_building)
-    if len(dest_aps):
-        is_dest[list(dest_aps)] = True
+    seen = bytearray(n)
+    is_dest = bytearray(n)
+    for v in graph.aps_in_building(flow.dest_building):
+        is_dest[v] = 1
+    blackholes = bytearray(n)
+    for v in flow.compromised:
+        blackholes[v] = 1
+    copies = [0] * n if threshold is not None else None
 
-    heap: list[tuple[float, int, int, object]] = []
-    seq = 0
     transmissions = receptions = duplicates = suppressed = 0
     transmitters: set[int] = set()
-    delivered = False
-    delivery_time: float | None = None
+    source_ap = flow.source_ap
+    seen[source_ap] = 1
+    delivered = bool(is_dest[source_ap])
+    delivery_time: float | None = 0.0 if delivered else None
 
     rng_random = rng.random
     rng_uniform = rng.uniform
     push = heappush
-
-    def do_transmit(now: float, ap_id: int) -> None:
-        nonlocal transmissions, suppressed, seq
-        if copies is not None and copies[ap_id] >= threshold:
-            suppressed += 1
-            return
-        transmissions += 1
-        transmitters.add(ap_id)
-        audience = indices[indptr[ap_id] : indptr[ap_id + 1]]
-        if generic_radio:
-            # The radio owns delays and loss draws, so its receptions
-            # need not share a timestamp: one group per reception.
-            for rec in radio.receptions(audience.tolist(), rng):
-                receiver = np.array([rec.receiver_id], dtype=indices.dtype)
-                push(heap, (now + rec.delay_s, seq, _RECEIVE, receiver))
-                seq += 1
-            return
-        k = audience.size
-        if k == 0:
-            return
-        if lossy:  # one draw per alive neighbour, adjacency order
-            draws = np.fromiter(
-                (rng_random() for _ in range(k)), dtype=np.float64, count=k
-            )
-            audience = audience[draws >= loss_p]
-            k = audience.size
-            if k == 0:
-                return
-        push(heap, (now + tx_delay, seq, _RECEIVE, audience))
-        seq += k
-
-    seen[source_ap] = True
-    if graph.building_id_list()[source_ap] == flow.dest_building:
-        delivered = True
-        delivery_time = 0.0
-    do_transmit(0.0, source_ap)
-
+    pop = heappop
+    # The source's transmission is the first event; giving it seq 0
+    # shifts every later key by one, which keeps their relative order.
+    heap: list[tuple[float, int, int, object]] = [(0.0, 0, _TRANSMIT, source_ap)]
+    seq = 1
     while heap:
-        time = heap[0][0]
-        if bounded and time > max_time:
+        time, _, kind, payload = pop(heap)
+        if time > max_time:
             break
-        time, _first_seq, kind, payload = heappop(heap)
-        if kind == _RECEIVE:
-            audience = payload
-            k = audience.size
-            receptions += k
-            if copies is not None:
-                copies[audience] += 1
-            fresh = audience[~seen[audience]]
-            duplicates += k - fresh.size
-            if fresh.size == 0:
+        if kind == _TRANSMIT:
+            if copies is not None and copies[payload] >= threshold:
+                suppressed += 1
                 continue
-            seen[fresh] = True
-            if not delivered and is_dest[fresh].any():
+            transmissions += 1
+            transmitters.add(payload)
+            audience = indices[indptr[payload] : indptr[payload + 1]].tolist()
+            if generic_radio:
+                # The radio owns delays and loss draws, so its receptions
+                # need not share a timestamp: one group per reception.
+                for rec in radio.receptions(audience, rng):
+                    push(heap, (time + rec.delay_s, seq, _RECEIVE, [rec.receiver_id]))
+                    seq += 1
+                continue
+            if lossy:  # one draw per alive neighbour, adjacency order
+                audience = [u for u in audience if rng_random() >= loss_p]
+            if audience:
+                push(heap, (time + tx_delay, seq, _RECEIVE, audience))
+                seq += len(audience)
+            continue
+        receptions += len(payload)
+        for v in payload:
+            if copies is not None:
+                copies[v] += 1
+            if seen[v]:
+                duplicates += 1
+                continue
+            seen[v] = 1
+            if is_dest[v] and not delivered:
                 delivered = True
                 delivery_time = time
-            rebroadcasters = fresh
-            if blackholes is not None:
-                rebroadcasters = rebroadcasters[~blackholes[rebroadcasters]]
-            if verdicts is None:
-                # Lazy lane: verdict then jitter per receiver, which is
-                # the reference order when both draw from one RNG.
-                for v in rebroadcasters.tolist():
-                    if should_rebroadcast(aps[v]):
-                        delay = rng_uniform(0.0, jitter) if jitter > 0.0 else 0.0
-                        push(heap, (time + delay, seq, _TRANSMIT, v))
-                        seq += 1
+            if blackholes[v]:
                 continue
-            rebroadcasters = rebroadcasters[verdicts[rebroadcasters]]
-            if jitter > 0.0:
-                for v in rebroadcasters.tolist():
-                    push(heap, (time + rng_uniform(0.0, jitter), seq, _TRANSMIT, v))
-                    seq += 1
-            else:
-                for v in rebroadcasters.tolist():
-                    push(heap, (time, seq, _TRANSMIT, v))
-                    seq += 1
-        else:
-            do_transmit(time, payload)
+            if verdicts[v] if verdicts is not None else should_rebroadcast(aps[v]):
+                # The jitter draw follows its verdict, the reference's
+                # order when a lazy policy shares the simulation RNG.
+                delay = rng_uniform(0.0, jitter) if jitter > 0.0 else 0.0
+                push(heap, (time + delay, seq, _TRANSMIT, v))
+                seq += 1
 
     result = BroadcastResult(
         delivered=delivered,
@@ -402,7 +373,7 @@ def run_columnar(
         duplicates=duplicates,
         suppressed=suppressed,
         transmitters=transmitters,
-        heard=set(np.nonzero(seen)[0].tolist()),
+        heard=set(np.flatnonzero(np.frombuffer(seen, np.uint8)).tolist()),
     )
     record_broadcast_metrics(result)
     return result

@@ -8,7 +8,8 @@ from repro.buildgraph import (
     plan_building_route,
     route_length_m,
 )
-from repro.city import Building, City, make_city
+from repro.buildgraph.planner import heap_search
+from repro.city import Building, City, make_city, metro_grid
 from repro.geometry import Polygon
 
 
@@ -178,6 +179,21 @@ class TestPlanner:
         actual = sum(g.neighbors(a)[b] for a, b in zip(route, route[1:]))
         assert expected is not None
         assert actual == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "exponent,src,dst,expected",
+        [(3.0, 40, 13, 550_623), (1.0, 60, 2, 393.642)],
+    )
+    def test_cheap_explicit_link_keeps_a_star_exact(self, exponent, src, dst, expected):
+        """A link weighted below the straight-line bound the heuristic
+        assumes must not make A* miss the route through it."""
+        g = BuildingGraph(metro_grid(seed=0, cols=6, rows=11), weight_exponent=exponent)
+        g.add_link(1, 16, 1.0)
+        route = g.plan(src, dst)
+        dijkstra, _ = heap_search(g.neighbors, src, dst)
+        assert route == dijkstra
+        cost = sum(g.neighbors(a)[b] for a, b in zip(route, route[1:]))
+        assert cost == pytest.approx(expected, rel=1e-5)
 
 
 def test_stats_publishes_route_cache_gauges():

@@ -106,3 +106,47 @@ class TestMetro:
                 failures += 1
         assert failures > 0
         assert out["unroutable"] == failures
+
+
+class TestBadInput:
+    """Malformed values are refused by the parser: exit 2 and one
+    ``error: argument`` line, before any city is built or server bound."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "generate", "--archetype", "flood", "--city", "nowhere"],
+            ["scenario", "generate", "--archetype", "flood", "--intensity", "0"],
+            ["scenario", "generate", "--archetype", "flood", "--intensity", "3.5"],
+            ["scenario", "generate", "--archetype", "flood", "--intensity", "nan"],
+            ["scenario", "generate", "--archetype", "flood", "--flows", "-2"],
+            ["scenario", "generate", "--archetype", "flood", "--epochs", "0"],
+            ["scenario", "generate", "--archetype", "flood", "--mobile-flows", "-1"],
+            ["scenario", "generate", "--archetype", "flood", "--congestion-window", "-1"],
+            ["scenario", "run", "river-flood", "--workers", "0"],
+            ["scenario", "fuzz", "--count", "0"],
+            ["serve", "--city", "nowhere"],
+            ["serve", "--shards", "0"],
+            ["serve", "--workers", "0"],
+            ["serve", "--capacity", "0"],
+            ["serve", "--queue-limit", "0"],
+            ["serve", "--port", "70000"],
+            ["fig6", "--workers", "two"],
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        command = " ".join(a for a in argv[:2] if not a.startswith("-"))
+        assert err.splitlines()[-1].startswith(f"citymesh {command}: error: argument")
+
+    def test_bounds_are_inclusive(self):
+        args = build_parser().parse_args(
+            ["scenario", "generate", "--archetype", "flood", "--intensity", "3",
+             "--epochs", "4", "--congestion-window", "0", "--city", "metro-20k"]
+        )
+        assert (args.intensity, args.epochs, args.congestion_window) == (3.0, 4, 0.0)
+        assert args.city == "metro-20k"

@@ -4,11 +4,13 @@ engine bit-for-bit for every policy/radio/suppression combination."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.city import Building, City
 from repro.core import BuildingRouter
 from repro.experiments import build_world
-from repro.geometry import Point, Polygon
+from repro.geometry import ConduitPath, Point, Polygon
 from repro.mesh import APGraph, AccessPoint
 from repro.sim import (
     ConduitPolicy,
@@ -56,19 +58,22 @@ def assert_identical(graph, source_ap, dest_building, policy_factory, seed,
                      radio_factory=None, params=None, compromised=frozenset(),
                      dead_aps=frozenset()):
     """Run both kernels from identically seeded RNGs and compare all
-    result fields (including the transmitter/heard sets)."""
+    result fields (including the transmitter/heard sets) and the state
+    each run leaves its RNG in."""
+    reference_rng, fast_rng = random.Random(seed), random.Random(seed)
     reference = simulate_broadcast(
-        graph, source_ap, dest_building, policy_factory(), random.Random(seed),
+        graph, source_ap, dest_building, policy_factory(), reference_rng,
         radio=radio_factory() if radio_factory else None,
         params=params, compromised=compromised, dead_aps=dead_aps, fast=False,
     )
     fast = simulate_broadcast(
-        graph, source_ap, dest_building, policy_factory(), random.Random(seed),
+        graph, source_ap, dest_building, policy_factory(), fast_rng,
         radio=radio_factory() if radio_factory else None,
         params=params, compromised=compromised, dead_aps=dead_aps, fast=True,
     )
     for field in RESULT_FIELDS:
         assert getattr(reference, field) == getattr(fast, field), field
+    assert reference_rng.getstate() == fast_rng.getstate()
     return reference
 
 
@@ -192,8 +197,8 @@ class StaggeredRadio:
 
 
 class TestLaneEquivalence:
-    """The lazy verdict lane and the generic radio lane, alone and
-    combined with each other and with the built-in lanes."""
+    """Lazy verdicts and generic radios, alone and combined with each
+    other and with bitmap verdicts and the built-in radios."""
 
     @pytest.mark.parametrize("seed", [0, 13])
     def test_custom_radio(self, world, endpoints, seed):
@@ -387,3 +392,102 @@ class TestEdgeCases:
             graph, 0, n, lambda: ConduitPolicy(plan.conduits, city), seed=0
         )
         assert result.delivered
+
+
+
+@st.composite
+def random_broadcasts(draw):
+    """A small random world plus one flow over every kernel axis:
+    policy, radio, suppression, jitter, horizon, dead and compromised
+    sets."""
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 4))
+    pitch = draw(st.sampled_from([35.0, 45.0, 60.0]))
+    buildings = [
+        Building(
+            r * cols + c + 1,
+            Polygon.rectangle(c * pitch, r * pitch, c * pitch + 30, r * pitch + 30),
+        )
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    placements = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(buildings) - 1),
+                st.floats(0.0, 30.0),
+                st.floats(0.0, 30.0),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    aps = []
+    for i, (b, dx, dy) in enumerate(placements):
+        x0, y0, _, _ = buildings[b].polygon.bbox
+        aps.append(AccessPoint(i, Point(x0 + dx, y0 + dy), buildings[b].id))
+    city = City("prop", buildings)
+    graph = APGraph(aps, transmission_range=50)
+    coordinate = st.floats(-20.0, max(cols, rows) * pitch + 20)
+    waypoints = draw(
+        st.lists(st.builds(Point, coordinate, coordinate), min_size=1, max_size=4)
+    )
+    conduits = ConduitPath.from_waypoints(waypoints, draw(st.floats(5.0, 60.0)))
+    source = draw(st.integers(0, len(aps) - 1))
+    ap_ids = st.integers(0, len(aps) - 1)
+    return {
+        "graph": graph,
+        "city": city,
+        "conduits": conduits,
+        "source": source,
+        "dest": draw(st.sampled_from(buildings)).id,
+        "policy": draw(st.sampled_from(
+            ["flood", "conduit", "position", "gossip_own", "gossip_sim"]
+        )),
+        "gossip_p": draw(st.floats(0.0, 1.0)),
+        "radio": draw(st.sampled_from(["unit", "lossy", "custom"])),
+        "params": SimParams(
+            jitter_s=draw(st.sampled_from([0.0, 0.01])),
+            max_sim_time_s=draw(st.one_of(st.just(float("inf")), st.floats(0.001, 0.05))),
+            suppression_threshold=draw(st.sampled_from([None, 1, 2])),
+        ),
+        "dead": frozenset(draw(st.sets(ap_ids, max_size=20)) - {source}),
+        "compromised": frozenset(draw(st.sets(ap_ids, max_size=20))),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _run(case, fast):
+    rng = random.Random(case["seed"])
+    kind = case["policy"]
+    if kind == "flood":
+        policy = FloodPolicy()
+    elif kind == "conduit":
+        policy = ConduitPolicy(case["conduits"], case["city"])
+    elif kind == "position":
+        policy = PositionConduitPolicy(case["conduits"])
+    elif kind == "gossip_own":
+        policy = GossipPolicy(case["gossip_p"], random.Random(case["seed"] + 1))
+    else:
+        policy = GossipPolicy(case["gossip_p"], rng)
+    radio = {
+        "unit": lambda: None,
+        "lossy": lambda: LossyRadio(loss_probability=0.3),
+        "custom": StaggeredRadio,
+    }[case["radio"]]()
+    result = simulate_broadcast(
+        case["graph"], case["source"], case["dest"], policy, rng,
+        radio=radio, params=case["params"], compromised=case["compromised"],
+        dead_aps=case["dead"], fast=fast,
+    )
+    return result, rng.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_broadcasts())
+def test_kernel_matches_reference_on_random_worlds(case):
+    reference, reference_state = _run(case, fast=False)
+    fast, fast_state = _run(case, fast=True)
+    for field in RESULT_FIELDS:
+        assert getattr(reference, field) == getattr(fast, field), field
+    assert reference_state == fast_state

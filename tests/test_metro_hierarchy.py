@@ -319,10 +319,8 @@ def test_routes_match_flat_after_random_mutations(
 ):
     """Every mutation rebuilds the global overlay CSR; with every cache
     warm from the previous step, routes must still be the flat
-    planner's.  The reference is plain Dijkstra on the same graph: an
-    announced link cheaper than its straight-line distance implies
-    breaks the scaled-euclid bound ``BuildingGraph.plan``'s A* relies
-    on (e.g. 6x11 lots, seed 0, link 1-16 at weight 1.0, 40 -> 13)."""
+    planner's.  The reference is plain Dijkstra on the same graph, with
+    announced links as cheap as weight 1.0."""
     graph = BuildingGraph(
         metro_grid(seed=city_seed, cols=cols, rows=rows, name="metro-prop")
     )

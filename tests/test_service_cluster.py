@@ -553,3 +553,4 @@ def test_serve_sigterm_exits_zero_with_open_stream(workers, tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+        proc.stdout.close()
