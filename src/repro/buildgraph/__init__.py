@@ -7,8 +7,9 @@ blocks of short hops.  Engineered for the hot path:
 
 - graph construction via the :class:`repro.geometry.GridIndex`
   spatial hash (never an O(n²) all-pairs scan),
-- binary-heap Dijkstra with an A* fast path under a consistent
-  scaled-straight-line heuristic,
+- one shortest-path engine: :func:`scipy.sparse.csgraph.dijkstra`
+  over a CSR built once per graph version, rows in ascending building
+  id order and sorted columns, so routes are history-independent,
 - a bounded LRU route cache keyed by ``(src, dst, graph version)``
   with explicit invalidation on mutation,
 - batched many-to-many planning that shares one single-source
@@ -35,14 +36,7 @@ from .hierarchy import (
     partition_regions,
 )
 from .lru import LRUCache
-from .planner import (
-    NoRouteError,
-    heap_search,
-    plan_building_route,
-    plan_routes,
-    route_length_m,
-    sssp_tree,
-)
+from .planner import NoRouteError, plan_building_route
 
 __all__ = [
     "BuildingGraph",
@@ -56,10 +50,6 @@ __all__ = [
     "DEFAULT_TRANSMISSION_RANGE",
     "DEFAULT_WEIGHT_EXPONENT",
     "attach_hierarchy",
-    "heap_search",
     "partition_regions",
     "plan_building_route",
-    "plan_routes",
-    "route_length_m",
-    "sssp_tree",
 ]

@@ -13,12 +13,16 @@ building only examines the O(1)-cell neighbourhood that could possibly
 be in range.  A cheap bbox-gap lower bound prunes most candidates
 before the exact polygon distance is computed.
 
-Planning is heap A* with a *consistent* heuristic (see
-``_heuristic_scale``), a bounded LRU route cache keyed by
-``(src, dst, graph version)``, and batched many-to-many planning that
-reuses one single-source Dijkstra tree per distinct source.  All work
-counters are surfaced through :meth:`BuildingGraph.stats` so benchmarks
-can regress on *work done*, not just wall time.
+Planning runs :func:`scipy.sparse.csgraph.dijkstra` over one CSR per
+graph :attr:`~BuildingGraph.version`, built lazily on the first search
+after a mutation (never inside the mutation itself).  Rows are
+buildings in ascending id order and column indices are sorted, so a
+route depends on the graph alone, not on the order its edges were
+added or removed.  A bounded LRU route cache keyed by
+``(src, dst, graph version)`` sits in front, and batched many-to-many
+planning reuses one tree per distinct source.  All work counters are
+surfaced through :meth:`BuildingGraph.stats` so benchmarks can regress
+on *work done*, not just wall time.
 """
 
 from __future__ import annotations
@@ -27,20 +31,22 @@ import math
 import time
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from ..geometry import GridIndex, Point, Polygon
 from ..obs import REGISTRY
 from .lru import LRUCache
-from .planner import NoRouteError, extract_route, heap_search, sssp_tree
+from .planner import NoRouteError, shortest_routes
 
 # Registry instruments, resolved once at import: the per-call cost of
 # publishing is a single attribute add, cheap enough for the plan()
-# hot path (the search timers only fire on cache misses, which are
+# hot path (the search timer only fires on cache misses, which are
 # dominated by the search itself).
 _M_BUILDS = REGISTRY.counter("buildgraph.builds")
 _M_BUILD_S = REGISTRY.timer("buildgraph.build_s")
 _M_PLAN_CALLS = REGISTRY.counter("buildgraph.plan_calls")
 _M_SEARCH_S = REGISTRY.timer("buildgraph.route_search_s")
-_M_SSSP_S = REGISTRY.timer("buildgraph.sssp_s")
 _M_EXPANDED = REGISTRY.counter("buildgraph.nodes_expanded")
 _M_INVALIDATIONS = REGISTRY.counter("buildgraph.cache_invalidations")
 
@@ -235,20 +241,14 @@ class BuildingGraph:
         #: like :class:`repro.core.BuildingRouter` plan through it
         #: when present.
         self.hierarchy = None
-        self._extremes_dirty = True
-        self._min_edge_m = 0.0
-        self._max_edge_m = 0.0
-        #: Smallest ``weight / centroid distance`` of any link added with
-        #: an explicit weight (``inf`` while there is none).
-        self._min_link_ratio = math.inf
+        # ``(version, ids, matrix)`` of the last CSR built (see csr()).
+        self._csr: tuple[int, tuple[int, ...], csr_matrix] | None = None
         self._stats = {
             "builds": 0,
             "build_time_s": 0.0,
             "build_candidates_checked": 0,
             "build_exact_distance_checks": 0,
             "plan_calls": 0,
-            "astar_runs": 0,
-            "dijkstra_runs": 0,
             "sssp_runs": 0,
             "nodes_expanded": 0,
         }
@@ -314,7 +314,6 @@ class BuildingGraph:
         self._stats["build_time_s"] += build_s
         _M_BUILDS.inc()
         _M_BUILD_S.observe(build_s)
-        self._extremes_dirty = True
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -388,7 +387,6 @@ class BuildingGraph:
     def _mutated(self) -> None:
         self._version += 1
         self._route_cache.clear()
-        self._extremes_dirty = True
         _M_INVALIDATIONS.inc()
 
     def _remove_building_no_bump(self, building_id: int) -> None:
@@ -423,15 +421,11 @@ class BuildingGraph:
             raise KeyError(building_a)
         if building_b not in self._adjacency:
             raise KeyError(building_b)
-        d = self._centroids[building_a].distance_to(self._centroids[building_b])
         if weight is None:
+            d = self._centroids[building_a].distance_to(self._centroids[building_b])
             weight = d ** self.weight_exponent
         elif weight <= 0:
             raise ValueError("link weight must be positive")
-        elif d > 0.0:
-            # An explicit weight may undercut the straight-line bound
-            # the A* heuristic assumes; remember the cheapest cost/metre.
-            self._min_link_ratio = min(self._min_link_ratio, weight / d)
         self._adjacency[building_a][building_b] = weight
         self._adjacency[building_b][building_a] = weight
         if self._listeners:
@@ -541,59 +535,65 @@ class BuildingGraph:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _recompute_edge_extremes(self) -> None:
-        lo = math.inf
-        hi = 0.0
-        centroids = self._centroids
-        for u, nbrs in self._adjacency.items():
-            cu = centroids[u]
-            for v in nbrs:
-                if v <= u:
-                    continue
-                d = cu.distance_to(centroids[v])
-                if d < lo:
-                    lo = d
-                if d > hi:
-                    hi = d
-        self._min_edge_m = 0.0 if math.isinf(lo) else lo
-        self._max_edge_m = hi
-        self._extremes_dirty = False
+    def csr(self) -> tuple[tuple[int, ...], csr_matrix]:
+        """The weighted adjacency as ``(ids, matrix)``.
 
-    def _heuristic_scale(self) -> float:
-        """Per-metre scale ``c`` making ``c * straight_line`` consistent.
-
-        The naive "cubed straight-line distance" is NOT admissible for
-        k > 1: splitting a leg into shorter hops shrinks the sum of
-        cubes below the cube of the sum.  What does hold on any path:
-        every hop satisfies m <= d_i <= L (the graph's extreme edge
-        lengths), so d_i^k = d_i * d_i^(k-1) >= d_i * m^(k-1) when
-        k >= 1 (resp. L^(k-1) when k < 1) and summing gives
-        cost >= straight_line * c.  Consistency follows the same way,
-        so A* needs no reopening.  A link added with an explicit weight
-        ``w`` over centroid distance ``d`` only satisfies
-        ``w >= d * (w / d)``, so ``c`` is capped by the smallest such
-        ratio; graphs without explicit weights keep the bound above.
+        Row and column ``i`` of ``matrix`` are building ``ids[i]``, ids
+        ascending, and entry ``(i, j)`` is the edge weight; column
+        indices are sorted.  Built on the first call at each
+        :attr:`version` and shared until the next mutation: treat it
+        as read-only (copy ``matrix.data`` before reweighting).
         """
-        k = self.weight_exponent
-        if k == 1.0:
-            scale = 1.0
-        else:
-            if self._extremes_dirty:
-                self._recompute_edge_extremes()
-            base = self._min_edge_m if k > 1.0 else self._max_edge_m
-            scale = base ** (k - 1.0) if base > 0.0 else 0.0
-        return min(scale, self._min_link_ratio)
+        if self._csr is None or self._csr[0] != self._version:
+            adjacency = self._adjacency
+            ids = tuple(sorted(adjacency))
+            row_of = {b: i for i, b in enumerate(ids)}
+            n = len(ids)
+            degrees = np.fromiter(
+                (len(adjacency[b]) for b in ids), dtype=np.int32, count=n
+            )
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(degrees, out=indptr[1:])
+            nnz = int(indptr[-1])
+            indices = np.fromiter(
+                (row_of[v] for b in ids for v in adjacency[b]),
+                dtype=np.int32, count=nnz,
+            )
+            data = np.fromiter(
+                (w for b in ids for w in adjacency[b].values()),
+                dtype=np.float64, count=nnz,
+            )
+            matrix = csr_matrix((data, indices, indptr), shape=(n, n))
+            matrix.sort_indices()
+            self._csr = (self._version, ids, matrix)
+        return self._csr[1], self._csr[2]
 
     def _check_endpoint(self, building_id: int) -> None:
         if building_id not in self._adjacency:
             raise KeyError(building_id)
 
+    def _search(self, src: int, dsts: Sequence[int]) -> list[list[int] | None]:
+        """One Dijkstra tree from ``src``; caches its routes to ``dsts``."""
+        t0 = time.perf_counter()
+        routes, settled = shortest_routes(*self.csr(), src, dsts)
+        _M_SEARCH_S.observe(time.perf_counter() - t0)
+        self._stats["sssp_runs"] += 1
+        self._stats["nodes_expanded"] += settled
+        _M_EXPANDED.inc(settled)
+        for dst, route in zip(dsts, routes):
+            self._route_cache.put(
+                (src, dst, self._version),
+                _NO_ROUTE if route is None else tuple(route),
+            )
+        return routes
+
     def plan(self, src_building: int, dst_building: int) -> list[int]:
         """Minimum-weight route between two buildings (cached).
 
-        Cache hits are O(1); misses run heap A* and store the result
-        under ``(src, dst, version)``.  Unroutable pairs are cached
-        too, so islands stay cheap to re-ask about.
+        Cache hits are O(1); a miss runs one Dijkstra tree from
+        ``src_building`` and stores the result under
+        ``(src, dst, version)``.  Unroutable pairs are cached too, so
+        islands stay cheap to re-ask about.
 
         Raises:
             KeyError: if either endpoint is missing from the graph.
@@ -603,39 +603,15 @@ class BuildingGraph:
         self._check_endpoint(dst_building)
         self._stats["plan_calls"] += 1
         _M_PLAN_CALLS.inc()
-        key = (src_building, dst_building, self._version)
-        cached = self._route_cache.get(key)
-        if cached is _NO_ROUTE:
-            raise NoRouteError(
-                f"no predicted path between buildings {src_building} "
-                f"and {dst_building}"
-            )
-        if cached is not None:
-            return list(cached)
-        scale = self._heuristic_scale()
-        if scale > 0.0:
-            target = self._centroids[dst_building]
-            centroids = self._centroids
-            heuristic = lambda b: scale * centroids[b].distance_to(target)  # noqa: E731
-            self._stats["astar_runs"] += 1
-        else:
-            heuristic = None
-            self._stats["dijkstra_runs"] += 1
-        t0 = time.perf_counter()
-        route, expanded = heap_search(
-            self._adjacency.__getitem__, src_building, dst_building, heuristic
-        )
-        _M_SEARCH_S.observe(time.perf_counter() - t0)
-        self._stats["nodes_expanded"] += expanded
-        _M_EXPANDED.inc(expanded)
+        route = self._route_cache.get((src_building, dst_building, self._version))
         if route is None:
-            self._route_cache.put(key, _NO_ROUTE)
+            route = self._search(src_building, [dst_building])[0] or _NO_ROUTE
+        if route is _NO_ROUTE:
             raise NoRouteError(
                 f"no predicted path between buildings {src_building} "
                 f"and {dst_building}"
             )
-        self._route_cache.put(key, tuple(route))
-        return route
+        return list(route)
 
     def plan_routes(
         self, pairs: Sequence[tuple[int, int]]
@@ -643,10 +619,10 @@ class BuildingGraph:
         """Batched many-to-many planning, one Dijkstra tree per source.
 
         Pairs are grouped by source; each distinct source with at least
-        one uncached destination costs exactly one single-source
-        Dijkstra expansion (``stats()['sssp_runs']``), shared across
-        all its destinations.  Results land in the route cache, so a
-        later :meth:`plan` of the same pair is a hit.
+        one uncached destination costs exactly one single-source tree
+        (``stats()['sssp_runs']``), shared across all its destinations.
+        Results land in the route cache, so a later :meth:`plan` of the
+        same pair is a hit.
 
         Returns:
             Routes aligned with ``pairs``; ``None`` marks pairs that
@@ -670,24 +646,9 @@ class BuildingGraph:
                 continue
             pending.setdefault(src, []).append(i)
         for src, indices in pending.items():
-            targets = {pairs[i][1] for i in indices}
-            t0 = time.perf_counter()
-            _, parent, expanded = sssp_tree(
-                self._adjacency.__getitem__, src, targets
-            )
-            _M_SSSP_S.observe(time.perf_counter() - t0)
-            self._stats["sssp_runs"] += 1
-            self._stats["nodes_expanded"] += expanded
-            _M_EXPANDED.inc(expanded)
-            for i in indices:
-                dst = pairs[i][1]
-                route = extract_route(parent, src, dst)
-                key = (src, dst, version)
-                if route is None:
-                    self._route_cache.put(key, _NO_ROUTE)
-                else:
-                    self._route_cache.put(key, tuple(route))
-                    results[i] = route
+            routes = self._search(src, [pairs[i][1] for i in indices])
+            for i, route in zip(indices, routes):
+                results[i] = route
         return results
 
     # ------------------------------------------------------------------
@@ -701,9 +662,9 @@ class BuildingGraph:
         """Work counters for perf regression (not wall-clock proxies).
 
         Includes build cost (spatial-hash candidates examined, exact
-        polygon-distance checks, seconds), planner work (A*/Dijkstra
-        runs, single-source batched runs, total nodes expanded) and the
-        route cache's hit/miss/eviction counts.
+        polygon-distance checks, seconds), planner work (Dijkstra
+        trees run, total finite distances across them) and the route
+        cache's hit/miss/eviction counts.
         """
         out: dict[str, float] = dict(self._stats)
         out["nodes"] = self.node_count()

@@ -42,7 +42,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from ...obs import REGISTRY
 from ..lru import LRUCache
-from ..planner import NoRouteError
+from ..planner import NoRouteError, tree_path
 from .overlay import RegionOverlay, build_overlay
 from .partition import (
     DEFAULT_REGION_SIZE,
@@ -62,17 +62,6 @@ DEFAULT_EXPANSION_CACHE_PER_REGION = 512
 
 # Sentinel for pairs proven unroutable (mirrors the flat planner).
 _NO_ROUTE = object()
-
-
-def _tree_path(overlay: RegionOverlay, pred: np.ndarray, row: int) -> list[int]:
-    """Buildings from ``row`` back to the root of a scipy predecessor tree."""
-    members = overlay.members
-    path = [members[row]]
-    row = pred[row]
-    while row >= 0:
-        path.append(members[row])
-        row = pred[row]
-    return path
 
 
 class MetroRouter:
@@ -386,7 +375,7 @@ class MetroRouter:
         if g < 0:
             return None
         if g == source:
-            route = _tree_path(src_overlay, pred_src, dst_row)
+            route = tree_path(src_overlay.members, pred_src, dst_row)
             route.reverse()
             return route
         chain: list[int] = []
@@ -402,8 +391,8 @@ class MetroRouter:
         gid_building = self._gid_building
         gid_region = self._gid_region
         gid_local = self._gid_local
-        route = _tree_path(
-            src_overlay, pred_src, src_overlay.local[gid_building[chain[0]]]
+        route = tree_path(
+            src_overlay.members, pred_src, src_overlay.local[gid_building[chain[0]]]
         )
         route.reverse()
         for g_prev, g_cur in zip(chain, chain[1:]):
@@ -416,7 +405,7 @@ class MetroRouter:
         entry_row = dst_overlay.local[gid_building[chain[-1]]]
         # The destination tree is rooted at dst: walking it from the
         # entry border already runs entry → dst.
-        route.extend(_tree_path(dst_overlay, pred_dst, entry_row)[1:])
+        route.extend(tree_path(dst_overlay.members, pred_dst, entry_row)[1:])
         return route
 
     def _expand_leg(self, region: int, i: int, j: int) -> list[int]:
@@ -449,7 +438,7 @@ class MetroRouter:
                 f"overlay desync: contracted edge {a}->{b} in region "
                 f"{region} has no intra-region path"
             )
-        leg = _tree_path(overlay, pred, row_b)
+        leg = tree_path(overlay.members, pred, row_b)
         leg.reverse()
         shard.put((a, b), tuple(leg))
         return leg

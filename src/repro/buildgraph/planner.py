@@ -1,26 +1,24 @@
 """Shortest-path planning over the building graph.
 
-The search core is a binary-heap Dijkstra with an optional A* heuristic
-hook.  :class:`repro.buildgraph.BuildingGraph` drives it with a
-consistent scaled-straight-line heuristic (see ``_heuristic_scale`` in
-:mod:`repro.buildgraph.graph` for why the naive cubed distance is *not*
-admissible); duck-typed graph views (e.g. the detour view in
-:mod:`repro.security.resilient`) fall back to plain Dijkstra.
-
-Determinism: the heap orders ties by ``(f, building id)``, so equal-cost
-frontiers pop in id order and the same graph always yields the same
-route — the tie-stability the experiment suite relies on for fixed
-seeds.
+Every search in :mod:`repro.buildgraph` is one
+:func:`scipy.sparse.csgraph.dijkstra` tree over a CSR whose rows are
+buildings in ascending id order (see :meth:`BuildingGraph.csr`), read
+back with :func:`tree_path`.  The flat planner, the security detour
+view and the metro hierarchy share that walk, so they share one
+tie-break: scipy keeps the first predecessor that reaches a node at its
+final distance.  Sorted column indices make the CSR, and hence every
+route, a function of the graph alone, not of the order it was mutated
+in.  Work is counted as the number of finite distances in a tree.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from bisect import bisect_left
+from typing import Sequence
 
-Node = Hashable
-NeighborsFn = Callable[[Node], Mapping[Node, float]]
-HeuristicFn = Callable[[Node], float]
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 
 class NoRouteError(Exception):
@@ -32,166 +30,57 @@ class NoRouteError(Exception):
     """
 
 
-def heap_search(
-    neighbors_of: NeighborsFn,
-    src: Node,
-    dst: Node,
-    heuristic: HeuristicFn | None = None,
-) -> tuple[list[Node] | None, int]:
-    """Point-to-point shortest path via heap Dijkstra / A*.
+def tree_path(ids: Sequence[int], pred: np.ndarray, row: int) -> list[int]:
+    """Buildings from ``row`` back to the root of a scipy predecessor tree.
+
+    ``ids[i]`` is the building of row ``i``; the path runs row-first,
+    root-last.
+    """
+    path = [ids[row]]
+    row = pred[row]
+    while row >= 0:
+        path.append(ids[row])
+        row = pred[row]
+    return path
+
+
+def shortest_routes(
+    ids: Sequence[int], matrix: csr_matrix, src: int, dsts: Sequence[int]
+) -> tuple[list[list[int] | None], int]:
+    """Routes from ``src`` to each of ``dsts`` over one Dijkstra tree.
 
     Args:
-        neighbors_of: maps a node to a ``{neighbor: edge weight}`` view.
-        src / dst: endpoint nodes (assumed present in the graph).
-        heuristic: optional *consistent* lower bound on remaining cost;
-            ``None`` degrades to plain Dijkstra.
+        ids: ascending building ids; row ``i`` of ``matrix`` is ``ids[i]``.
+        matrix: the weighted adjacency CSR.
+        src / dsts: building ids present in ``ids``.
 
     Returns:
-        ``(route, nodes_expanded)`` where ``route`` is ``None`` when
-        ``dst`` is unreachable.  ``nodes_expanded`` counts heap pops
-        that settled a node — the work metric ``stats()`` exposes.
+        ``(routes, settled)``: routes aligned with ``dsts`` (``None``
+        where unreachable) and the tree's count of finite distances.
     """
-    if src == dst:
-        return [src], 0
-    h = heuristic
-    dist: dict[Node, float] = {src: 0.0}
-    parent: dict[Node, Node] = {}
-    done: set[Node] = set()
-    heap: list[tuple[float, Node]] = [(h(src) if h is not None else 0.0, src)]
-    expanded = 0
-    while heap:
-        _, u = heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        expanded += 1
-        if u == dst:
-            route = [dst]
-            while route[-1] != src:
-                route.append(parent[route[-1]])
+    dist, pred = dijkstra(
+        matrix, directed=True, indices=bisect_left(ids, src), return_predecessors=True
+    )
+    routes: list[list[int] | None] = []
+    for dst in dsts:
+        row = bisect_left(ids, dst)
+        if np.isinf(dist[row]):
+            routes.append(None)
+        else:
+            route = tree_path(ids, pred, row)
             route.reverse()
-            return route, expanded
-        du = dist[u]
-        for v, w in neighbors_of(u).items():
-            if v in done:
-                continue
-            nd = du + w
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                parent[v] = u
-                heappush(heap, (nd + (h(v) if h is not None else 0.0), v))
-    return None, expanded
-
-
-def sssp_tree(
-    neighbors_of: NeighborsFn,
-    src: Node,
-    targets: Iterable[Node] | None = None,
-) -> tuple[dict[Node, float], dict[Node, Node], int]:
-    """Single-source Dijkstra tree, optionally stopping early.
-
-    The backbone of batched many-to-many planning: one tree serves
-    every destination that shares the source.  When ``targets`` is
-    given the search stops as soon as all of them are settled (it never
-    does *more* work than a full expansion).
-
-    Returns:
-        ``(dist, parent, nodes_expanded)``.
-    """
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining.discard(src)
-    dist: dict[Node, float] = {src: 0.0}
-    parent: dict[Node, Node] = {}
-    done: set[Node] = set()
-    heap: list[tuple[float, Node]] = [(0.0, src)]
-    expanded = 0
-    while heap:
-        _, u = heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        expanded += 1
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
-        du = dist[u]
-        for v, w in neighbors_of(u).items():
-            if v in done:
-                continue
-            nd = du + w
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                parent[v] = u
-                heappush(heap, (nd, v))
-    return dist, parent, expanded
-
-
-def extract_route(parent: Mapping[Node, Node], src: Node, dst: Node) -> list[Node] | None:
-    """Walk a Dijkstra ``parent`` tree back from ``dst`` to ``src``."""
-    if src == dst:
-        return [src]
-    if dst not in parent:
-        return None
-    route = [dst]
-    while route[-1] != src:
-        route.append(parent[route[-1]])
-    route.reverse()
-    return route
+            routes.append(route)
+    return routes, int(np.isfinite(dist).sum())
 
 
 def plan_building_route(graph, src_building: int, dst_building: int) -> list[int]:
     """Plan the minimum-weight building route between two buildings.
 
-    Dispatches to the graph's own cached/A* ``plan`` when available
-    (:class:`BuildingGraph`); any duck-typed view exposing
-    ``__contains__`` and ``neighbors`` (e.g. a penalised detour view)
-    gets a plain heap Dijkstra.
+    ``graph.plan`` of a :class:`BuildingGraph` or a
+    :class:`~repro.buildgraph.MetroRouter`.
 
     Raises:
         KeyError: if either endpoint is missing from the graph.
         NoRouteError: if the endpoints are on disconnected islands.
     """
-    plan = getattr(graph, "plan", None)
-    if callable(plan):
-        return plan(src_building, dst_building)
-    if src_building not in graph:
-        raise KeyError(src_building)
-    if dst_building not in graph:
-        raise KeyError(dst_building)
-    route, _ = heap_search(graph.neighbors, src_building, dst_building)
-    if route is None:
-        raise NoRouteError(
-            f"no predicted path between buildings {src_building} and {dst_building}"
-        )
-    return route
-
-
-def plan_routes(
-    graph, pairs: Sequence[tuple[int, int]]
-) -> list[list[int] | None]:
-    """Batched many-to-many planning (see ``BuildingGraph.plan_routes``).
-
-    Delegates to the graph's batched implementation when it has one;
-    otherwise falls back to per-pair planning with ``None`` marking
-    unroutable or unknown pairs.
-    """
-    batched = getattr(graph, "plan_routes", None)
-    if callable(batched):
-        return batched(pairs)
-    results: list[list[int] | None] = []
-    for src, dst in pairs:
-        try:
-            results.append(plan_building_route(graph, src, dst))
-        except (NoRouteError, KeyError):
-            results.append(None)
-    return results
-
-
-def route_length_m(graph, route: Sequence[int]) -> float:
-    """Geometric route length: summed centroid-to-centroid metres."""
-    if len(route) < 2:
-        return 0.0
-    centroids = [graph.centroid(b) for b in route]
-    return sum(a.distance_to(b) for a, b in zip(centroids, centroids[1:]))
+    return graph.plan(src_building, dst_building)

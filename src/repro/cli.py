@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import (
@@ -111,6 +112,13 @@ def _bounded(kind: type, low: float, high: float | None = None, *, low_open: boo
         return value
 
     return parse
+
+
+def _existing_file(text: str) -> str:
+    """An argparse ``type`` refusing paths that are not a regular file."""
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"not a file: {text!r}")
+    return text
 
 
 #: Every preset ``make_city`` builds, for ``--city`` choices.
@@ -313,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "trace",
         nargs="?",
+        type=_existing_file,
         default=None,
         help="JSONL trace to summarize; omitted = live registry snapshot",
     )

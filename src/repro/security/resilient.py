@@ -16,7 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..buildgraph import BuildingGraph, NoRouteError, plan_building_route
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from ..buildgraph import BuildingGraph, NoRouteError
+from ..buildgraph.planner import shortest_routes
 from ..city import City
 from ..core import BuildingRouter
 from ..core.compression import compress_route, conduits_for_waypoints
@@ -34,32 +38,22 @@ class ResilientReport:
     final_width: float | None
 
 
-class _DetourGraph:
-    """A view of a building graph with some buildings penalised.
+def _detour_route(
+    base: BuildingGraph, penalised: set[int], src: int, dst: int, factor: float = 8.0
+) -> list[int]:
+    """Plan over ``base`` with every edge touching ``penalised`` costing
+    ``factor`` times more.
 
-    Multiplying previously used relay buildings' edge weights pushes
-    Dijkstra onto geographically different streets on the retry.
+    Penalising previously used relay buildings pushes Dijkstra onto
+    geographically different streets on the retry.  The endpoints must
+    already be routable in ``base``: reweighting never disconnects them.
     """
-
-    def __init__(self, base: BuildingGraph, penalised: set[int], factor: float = 8.0):
-        self._base = base
-        self._penalised = penalised
-        self._factor = factor
-
-    def __contains__(self, building_id: int) -> bool:
-        return building_id in self._base
-
-    def neighbors(self, building_id: int) -> dict[int, float]:
-        out = {}
-        for n, w in self._base.neighbors(building_id).items():
-            if n in self._penalised or building_id in self._penalised:
-                out[n] = w * self._factor
-            else:
-                out[n] = w
-        return out
-
-    def centroid(self, building_id: int):
-        return self._base.centroid(building_id)
+    ids, matrix = base.csr()
+    hit = np.isin(ids, list(penalised))
+    data = matrix.data.copy()
+    data[np.repeat(hit, np.diff(matrix.indptr)) | hit[matrix.indices]] *= factor
+    detour = csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    return shortest_routes(ids, detour, src, [dst])[0][0]
 
 
 def resilient_send(
@@ -98,15 +92,13 @@ def resilient_send(
     width = router.conduit_width
     used_relays: set[int] = set()
     for attempt in range(1, max_attempts + 1):
-        plan_graph = (
-            router.graph
-            if not used_relays
-            else _DetourGraph(router.graph, used_relays)
-        )
-        try:
-            route = plan_building_route(plan_graph, src_building, dest_building)  # type: ignore[arg-type]
-        except (NoRouteError, KeyError):
-            return ResilientReport(False, attempt, total_tx, None)
+        if used_relays:
+            route = _detour_route(router.graph, used_relays, src_building, dest_building)
+        else:
+            try:
+                route = router.graph.plan(src_building, dest_building)
+            except (NoRouteError, KeyError):
+                return ResilientReport(False, attempt, total_tx, None)
         centroids = [router.graph.centroid(b) for b in route]
         compressed = compress_route(centroids, width=width)
         conduits = conduits_for_waypoints(

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.buildgraph import (
-    BuildingGraph,
-    NoRouteError,
-    plan_building_route,
-    route_length_m,
-)
-from repro.buildgraph.planner import heap_search
+from repro.buildgraph import BuildingGraph, NoRouteError, plan_building_route
 from repro.city import Building, City, make_city, metro_grid
 from repro.geometry import Polygon
+
+from .reference import reference_dijkstra
 
 
 def row_city(n=5, size=30.0, gap=15.0):
@@ -144,40 +140,16 @@ class TestPlanner:
         assert route_linear == [1, 3]
         assert route_cubed == [1, 2, 3]
 
-    def test_route_length(self):
-        g = BuildingGraph(row_city(3))
-        route = plan_building_route(g, 1, 3)
-        assert route_length_m(g, route) == pytest.approx(90)
-
     def test_route_optimal_weight(self):
-        """A* result matches brute-force Dijkstra cost on a small city."""
-        import heapq
-
+        """The planned route costs what the reference Dijkstra's does."""
         city = make_city("oldtown", seed=1)
         g = BuildingGraph(city)
         ids = [b.id for b in city.buildings]
         src, dst = ids[0], ids[len(ids) // 2]
-
-        def dijkstra_cost(s, d):
-            dist = {s: 0.0}
-            heap = [(0.0, s)]
-            while heap:
-                cost, u = heapq.heappop(heap)
-                if u == d:
-                    return cost
-                if cost > dist.get(u, float("inf")):
-                    continue
-                for v, w in g.neighbors(u).items():
-                    nd = cost + w
-                    if nd < dist.get(v, float("inf")):
-                        dist[v] = nd
-                        heapq.heappush(heap, (nd, v))
-            return None
-
-        expected = dijkstra_cost(src, dst)
+        _, expected = reference_dijkstra(g.neighbors, src, dst)
         route = plan_building_route(g, src, dst)
         actual = sum(g.neighbors(a)[b] for a, b in zip(route, route[1:]))
-        assert expected is not None
+        assert expected < float("inf")
         assert actual == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -185,13 +157,14 @@ class TestPlanner:
         [(3.0, 40, 13, 550_623), (1.0, 60, 2, 393.642)],
     )
     def test_cheap_explicit_link_keeps_a_star_exact(self, exponent, src, dst, expected):
-        """A link weighted below the straight-line bound the heuristic
-        assumes must not make A* miss the route through it."""
+        """A link weighted far below its centroid distance (once the
+        defect class of a straight-line A* heuristic) is used like any
+        other edge: the route is the reference Dijkstra's."""
         g = BuildingGraph(metro_grid(seed=0, cols=6, rows=11), weight_exponent=exponent)
         g.add_link(1, 16, 1.0)
         route = g.plan(src, dst)
-        dijkstra, _ = heap_search(g.neighbors, src, dst)
-        assert route == dijkstra
+        reference, _ = reference_dijkstra(g.neighbors, src, dst)
+        assert route == reference
         cost = sum(g.neighbors(a)[b] for a, b in zip(route, route[1:]))
         assert cost == pytest.approx(expected, rel=1e-5)
 

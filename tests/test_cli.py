@@ -132,6 +132,8 @@ class TestBadInput:
             ["serve", "--queue-limit", "0"],
             ["serve", "--port", "70000"],
             ["fig6", "--workers", "two"],
+            ["obs", "show", "no-such-dir/missing.jsonl"],
+            ["obs", "show", "."],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):

@@ -21,12 +21,13 @@ from repro.buildgraph import (
     attach_hierarchy,
     partition_regions,
 )
-from repro.buildgraph.planner import heap_search
 from repro.city import Building, make_city
 from repro.city.generators import metro_grid
 from repro.core import BuildingRouter
 from repro.geometry import Polygon
 from repro.obs import REGISTRY
+
+from .reference import reference_dijkstra
 
 # ~5k buildings: large enough for a real multi-region partition,
 # small enough to flat-plan a reference batch in seconds.
@@ -331,7 +332,7 @@ def test_routes_match_flat_after_random_mutations(
         alive = sorted(graph)
         for _ in range(6):
             src, dst = rng.sample(alive, 2)
-            flat, _ = heap_search(graph.neighbors, src, dst)
+            flat, _ = reference_dijkstra(graph.neighbors, src, dst)
             assert _plan_or_none(router, src, dst) == flat, (src, dst)
 
     check()

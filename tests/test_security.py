@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro.security.resilient as resilient_module
 from repro.city import make_city
 from repro.core import BuildingRouter
 from repro.geometry import Point, Polygon
@@ -16,6 +17,8 @@ from repro.security import (
     resilient_send,
     targeted_compromise,
 )
+
+from .reference import reference_dijkstra
 
 
 def chain(n=6, spacing=40.0):
@@ -176,3 +179,41 @@ class TestResilientSend:
         assert not report.delivered
         assert report.attempts == 3
         assert report.total_transmissions >= 3
+
+    @pytest.mark.parametrize("dst_index", [10, 40, 70])
+    def test_retries_plan_the_penalised_shortest_route(self, world, monkeypatch, dst_index):
+        """Every attempt plans the route a plain Dijkstra finds once each
+        edge touching an earlier attempt's relays costs 8 times more."""
+        city, graph, router = world
+        ids = [b.id for b in city.buildings if graph.aps_in_building(b.id)]
+        src, dst = ids[0], ids[dst_index]
+        planned = []
+        compress = resilient_module.compress_route
+
+        def spy(centroids, width):
+            planned.append(list(centroids))
+            return compress(centroids, width=width)
+
+        monkeypatch.setattr(resilient_module, "compress_route", spy)
+        compromised = frozenset(ap.id for ap in graph.aps if ap.building_id != src)
+        report = resilient_send(
+            city, graph, router, graph.aps_in_building(src)[0], dst,
+            random.Random(0), compromised, max_attempts=3,
+        )
+        assert report.attempts == 3 and len(planned) == 3
+        g = router.graph
+        penalised = set()
+
+        def detour(u):
+            return {
+                v: w * 8.0 if u in penalised or v in penalised else w
+                for v, w in g.neighbors(u).items()
+            }
+
+        routes = []
+        for centroids in planned:
+            expected, _ = reference_dijkstra(detour, src, dst)
+            assert centroids == [g.centroid(b) for b in expected]
+            routes.append(expected)
+            penalised.update(expected[1:-1])
+        assert routes[1] != routes[0]
