@@ -7,9 +7,11 @@ route runs three stages:
    region's CSR and one over the destination region's.
 2. **Overlay search** — one Dijkstra over the global overlay CSR, whose
    nodes are every border plus a virtual source ``S`` and target ``T``
-   and whose edges are each region's contracted ``D`` entries, the
-   original cross-region edges, and ``S→border`` / ``border→T`` /
-   ``S→T`` attachments.  The attachment weights are ``inf``
+   and whose edges are each region's *direct* ``D`` entries (those no
+   other border of the region lies on; every other entry is a chain of
+   direct ones at the same cost, see :mod:`.overlay`), the original
+   cross-region edges, and ``S→border`` / ``border→T`` / ``S→T``
+   attachments.  The attachment weights are ``inf``
    placeholders; a query writes the source tree's distances into
    ``S→b`` for the source region's borders, the destination tree's into
    ``b→T`` for the destination region's, and (same region) the direct
@@ -20,9 +22,10 @@ route runs three stages:
    ``D`` weight (per-region LRU cached); other hops are literal cross
    edges.
 
-The result is cost-identical to the flat planner (see :mod:`.overlay`
-for the exactness argument); the terminal distances and ``D`` are
-added in the order the flat search adds them.  Route and
+The result is cost-identical to the flat planner in exact arithmetic
+(see :mod:`.overlay` for the argument); a chain of ``D`` entries sums
+in another order than the flat search, so route identity is an
+empirical gate (``tests/test_metro_hierarchy.py``).  Route and
 leg-expansion caches shard per region, and a mutation listener on the
 owning :class:`~repro.buildgraph.BuildingGraph` marks only the touched
 regions dirty so a patch rebuilds a couple of overlays, not the metro.
@@ -98,12 +101,14 @@ class MetroRouter:
         ]
         # Global overlay, rebuilt after overlay rebuilds: gid → building
         # / region / index in the region's ``D``, per-region gid arrays,
-        # the overlay CSR and the data positions of its attachments.
+        # the overlay CSR, its edge count (attachments excluded) and the
+        # data positions of its attachments.
         self._gid_building: list[int] = []
         self._gid_region: list[int] = []
         self._gid_local: list[int] = []
         self._region_gids: list[np.ndarray] = []
         self._overlay = csr_matrix((2, 2))
+        self._overlay_edges = 0
         self._source_pos = 0
         self._target_pos = np.zeros(0, dtype=np.int64)
         self._stats = {
@@ -180,7 +185,7 @@ class MetroRouter:
 
         Borders get gids region by region; ``S`` is gid ``total`` and
         ``T`` is ``total + 1``.  The CSR holds no duplicate
-        ``(row, col)`` (scipy would sum them): ``D`` entries join
+        ``(row, col)`` (scipy would sum them): direct ``D`` entries join
         borders of one region, cross edges borders of two, and each
         attachment is added once.  Its indices are sorted, so ``S``'s
         row lists every border then ``T``, and each border row ends
@@ -204,13 +209,10 @@ class MetroRouter:
             gid_local.extend(range(len(borders)))
             region_gids.append(gids)
             if len(borders) > 1:
-                D = overlay.D
-                i, j = np.nonzero(np.isfinite(D))
-                off = i != j
-                i, j = i[off], j[off]
+                i, j = np.nonzero(overlay.direct)
                 rows.append(gids[i])
                 cols.append(gids[j])
-                data.append(D[i, j])
+                data.append(overlay.D[i, j])
         cross_rows: list[int] = []
         cross_cols: list[int] = []
         cross_w: list[float] = []
@@ -250,6 +252,7 @@ class MetroRouter:
         self._gid_local = gid_local
         self._region_gids = region_gids
         self._overlay = overlay_csr
+        self._overlay_edges = overlay_csr.nnz - (2 * total + 1)
         self._source_pos = int(overlay_csr.indptr[source])
         self._target_pos = overlay_csr.indptr[1 : total + 1].astype(np.int64) - 1
         self._stats["reindexes"] += 1
@@ -450,9 +453,11 @@ class MetroRouter:
         """Aggregated work counters, cache accounting and overlay bytes.
 
         Also publishes ``metro.*`` gauges (entries and approximate
-        bytes per cache family, summed over the region shards, and
-        ``metro.overlay.approx_bytes``: every region's ``D`` and CSR
-        plus the global overlay CSR) to the observability registry.
+        bytes per cache family, summed over the region shards,
+        ``metro.overlay.approx_bytes``: every region's ``D``, direct
+        mask and CSR plus the global overlay CSR, and
+        ``metro.overlay.edges``: the global CSR's direct ``D`` entries
+        and cross edges) to the observability registry.
         """
         out: dict[str, float] = dict(self._stats)
         out["regions"] = len(self.partition)
@@ -480,6 +485,8 @@ class MetroRouter:
         ) + int(overlay.data.nbytes + overlay.indices.nbytes + overlay.indptr.nbytes)
         out["overlay_approx_bytes"] = overlay_bytes
         REGISTRY.gauge("metro.overlay.approx_bytes").set(overlay_bytes)
+        out["overlay_edges"] = self._overlay_edges
+        REGISTRY.gauge("metro.overlay.edges").set(self._overlay_edges)
         return out
 
     def shard_stats(self) -> list[dict[str, float]]:

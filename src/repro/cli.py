@@ -503,6 +503,7 @@ def _run_metro(args: argparse.Namespace) -> int:
         "edges": graph.edge_count(),
         "regions": int(stats["regions"]),
         "borders": int(stats["borders"]),
+        "overlay_edges": int(stats["overlay_edges"]),
         "graph_build_s": round(build_s, 4),
         "partition_s": round(partition_s, 4),
         "overlay_build_s": round(overlay_s, 4),

@@ -10,9 +10,12 @@ regions' overlays.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.buildgraph import (
     BuildingGraph,
@@ -160,6 +163,35 @@ def test_batched_plan_routes_and_router_dispatch(metro_city, metro_graph):
     assert core._planner() is router
     plan = core.plan(*pairs[0])
     assert plan.route[0] == pairs[0][0] and plan.route[-1] == pairs[0][1]
+
+
+def test_routes_do_not_depend_on_query_history(metro_city):
+    """Leg expansion reuses a cached reversed ``(b, a)`` leg, and the
+    sparse overlay's chains lean on that reuse: the same pairs planned
+    on fresh routers in another order, or after every reversed pair,
+    must give the same routes."""
+    graph = BuildingGraph(metro_city)
+    partition = partition_regions(graph, target_region_size=REGION_SIZE, seed=0)
+    rng = random.Random(31)
+    pairs = far_pairs(30, seed=29) + [
+        tuple(rng.sample(range(1, N + 1), 2)) for _ in range(30)
+    ]
+
+    def routes(order, warm=()):
+        router = MetroRouter(graph, partition)
+        for src, dst in warm:
+            _plan_or_none(router, src, dst)
+        hits = router.stats()["expansion_cache_hits"]
+        planned = {(s, d): _plan_or_none(router, s, d) for s, d in order}
+        return planned, router.stats()["expansion_cache_hits"] - hits
+
+    forward, _ = routes(pairs)
+    assert all(route is not None for route in forward.values())
+    backward, _ = routes(pairs[::-1])
+    assert backward == forward
+    warmed, hits = routes(pairs, warm=[(d, s) for s, d in pairs])
+    assert warmed == forward
+    assert hits > 0  # the reversed legs were reused
 
 
 def test_batch_repeats_hit_the_route_shards(metro_graph):
@@ -347,6 +379,120 @@ def test_routes_match_flat_after_random_mutations(
 
 
 # ----------------------------------------------------------------------
+# Sparse overlay: only direct D entries enter the global CSR
+# ----------------------------------------------------------------------
+def _brute_direct(overlay):
+    """``i → j`` is direct when no other border lies strictly between
+    them on border ``i``'s tree path, walked node by node."""
+    b = len(overlay.borders)
+    direct = np.zeros((b, b), dtype=bool)
+    if not b:
+        return direct
+    _, pred = dijkstra(
+        overlay.csr,
+        directed=True,
+        indices=overlay.border_rows,
+        return_predecessors=True,
+    )
+    border_rows = set(overlay.border_rows.tolist())
+    for i, root in enumerate(overlay.border_rows):
+        for j, row in enumerate(overlay.border_rows):
+            if i == j or pred[i, row] < 0:
+                continue
+            v = pred[i, row]
+            while v != root and v not in border_rows:
+                v = pred[i, v]
+            direct[i, j] = v == root
+    return direct
+
+
+def _assert_sparse_matches_dense(router):
+    """Every border's distances over the router's global CSR (direct
+    ``D`` entries) equal those over a dense overlay built here from
+    every finite off-diagonal ``D`` entry, to ``rtol=1e-12``."""
+    total = len(router._gid_building)
+    gid_of = {b: g for g, b in enumerate(router._gid_building)}
+    rows, cols, data = [], [], []
+    for overlay, gids in zip(router._overlays, router._region_gids):
+        i, j = np.nonzero(np.isfinite(overlay.D))
+        off = i != j
+        rows += gids[i[off]].tolist()
+        cols += gids[j[off]].tolist()
+        data += overlay.D[i[off], j[off]].tolist()
+        for u, v, w in overlay.cross:
+            rows.append(gid_of[u])
+            cols.append(gid_of[v])
+            data.append(w)
+    dense_csr = csr_matrix((data, (rows, cols)), shape=(total, total))
+    borders = np.arange(total)
+    dense = dijkstra(dense_csr, directed=True, indices=borders)
+    # The router's CSR without its S and T rows and columns.
+    sparse = dijkstra(router._overlay[:total, :total], directed=True, indices=borders)
+    finite = np.isfinite(dense)
+    assert (np.isfinite(sparse) == finite).all()
+    gap = np.abs(sparse[finite] - dense[finite]) / np.maximum(dense[finite], 1e-300)
+    worst = float(gap.max()) if gap.size else 0.0
+    assert worst <= 1e-12, f"largest relative difference {worst:.3e}"
+
+
+def test_direct_set_matches_brute_force_walk():
+    """The stored direct mask equals a node-by-node predecessor walk on
+    every region, through mutations that leave regions with one
+    border, with none, and with an interior that no longer connects
+    all of its borders."""
+    cols = rows = 24
+    graph = BuildingGraph(metro_grid(seed=5, cols=cols, rows=rows, name="metro-576"))
+    router = attach_hierarchy(graph, n_regions=6, seed=0)
+    seen = {"no_border": False, "one_border": False, "split_interior": False}
+
+    def check():
+        router.build_overlays()
+        for overlay in router._overlays:
+            assert (overlay.direct == _brute_direct(overlay)).all(), overlay.region
+            b = len(overlay.borders)
+            seen["no_border"] |= b == 0
+            seen["one_border"] |= b == 1
+            seen["split_interior"] |= bool(
+                np.isinf(overlay.D[~np.eye(b, dtype=bool)]).any()
+            )
+        _assert_sparse_matches_dense(router)
+
+    check()
+    # Sever the grid down the middle: regions straddling the cut keep
+    # borders on both sides of it.
+    graph.patch(remove=[r * cols + c + 1 for r in range(rows) for c in (11, 12)])
+    check()
+    # Strip one region down to a single border and another to none.
+    # Removing a member never adds a cross edge, so no member of the
+    # region becomes a border in their place.
+    by_borders = sorted(router._overlays, key=lambda o: len(o.borders))
+    one, none = by_borders[-1], by_borders[-2]
+    graph.patch(remove=list(one.borders[1:]) + list(none.borders))
+    check()
+    assert seen == dict.fromkeys(seen, True)
+    # Routes over the mutated metro are still the flat planner's.
+    rng = random.Random(4)
+    alive = sorted(graph)
+    for _ in range(40):
+        src, dst = rng.sample(alive, 2)
+        flat, _ = reference_dijkstra(graph.neighbors, src, dst)
+        assert _plan_or_none(router, src, dst) == flat, (src, dst)
+
+
+def test_sparse_overlay_distances_match_dense(metro_graph):
+    """The sparse overlay keeps every border-to-border distance while
+    holding at most a third of the finite ``D`` entries."""
+    router = metro_graph.hierarchy
+    router.build_overlays()
+    _assert_sparse_matches_dense(router)
+    dense_entries = sum(
+        int(np.isfinite(o.D).sum()) - len(o.borders) for o in router._overlays
+    )
+    direct_entries = sum(int(o.direct.sum()) for o in router._overlays)
+    assert direct_entries * 3 <= dense_entries
+
+
+# ----------------------------------------------------------------------
 # Cache instrumentation
 # ----------------------------------------------------------------------
 def test_stats_and_cache_gauges(metro_graph):
@@ -372,6 +518,13 @@ def test_stats_and_cache_gauges(metro_graph):
     assert stats["overlay_approx_bytes"] > region_bytes > 0
     gauge = REGISTRY.gauge("metro.overlay.approx_bytes")
     assert gauge.value == stats["overlay_approx_bytes"]
+    # Overlay edges: the global CSR less its 2·borders + 1 attachments,
+    # i.e. every direct D entry plus every cross edge.
+    assert stats["overlay_edges"] == router._overlay.nnz - (2 * stats["borders"] + 1)
+    assert stats["overlay_edges"] == sum(
+        int(o.direct.sum()) + len(o.cross) for o in router._overlays
+    )
+    assert REGISTRY.gauge("metro.overlay.edges").value == stats["overlay_edges"]
 
 
 def test_shard_stats_rows(metro_graph):
