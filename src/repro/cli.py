@@ -355,12 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
-        type=_bounded(int, 1),
+        type=int,
+        choices=(1,),
         default=1,
-        help=(
-            "worker processes accepting on a shared SO_REUSEPORT port "
-            "(1 = classic single-process server)"
-        ),
+        help="service processes: the service is one process, so only 1 is accepted",
     )
 
     p = sub.add_parser(
@@ -375,15 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="a running 'repro serve' to hit over TCP (default: in-process)",
-    )
-    p.add_argument(
-        "--procs",
-        type=int,
-        default=1,
-        help=(
-            "generator processes (forked) so the closed loop can "
-            "saturate a multi-worker service; TCP targets only"
-        ),
     )
     p.add_argument(
         "--dump-trace",
@@ -527,41 +516,10 @@ def _run_metro(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """``serve``: the always-on service, until SIGINT/SIGTERM.
-
-    ``--workers 1`` is the classic single-process server, byte-for-byte
-    (the CI identity guard depends on that); ``--workers N`` runs the
-    SO_REUSEPORT cluster supervisor.
-    """
+    """``serve``: the always-on service, until SIGINT/SIGTERM."""
     import asyncio as _asyncio
 
     from .service import build_app, run_service
-
-    if args.workers > 1:
-        from .service import ClusterConfig, ClusterSupervisor
-
-        supervisor = ClusterSupervisor(
-            ClusterConfig(
-                n_workers=args.workers,
-                city_name=args.city,
-                seed=args.seed,
-                n_shards=args.shards,
-                capacity=args.capacity,
-                queue_limit=args.queue_limit,
-            ),
-            host=args.host,
-            port=args.port,
-        )
-        supervisor.start()
-        accept = "fd-passing" if supervisor.fdpass else "SO_REUSEPORT"
-        print(
-            f"repro serve: {args.city} (seed {args.seed}) on "
-            f"http://{args.host}:{supervisor.port} — {args.workers} workers "
-            f"({accept}), {args.shards} shards/worker, "
-            f"capacity {args.capacity}/box; Ctrl-C to stop",
-            flush=True,
-        )
-        return supervisor.serve()
 
     app = build_app(
         city_name=args.city,
@@ -600,7 +558,6 @@ def _run_loadgen(args: argparse.Namespace) -> int:
         format_report,
         generate_trace,
         run_loadgen,
-        run_loadgen_procs,
     )
 
     spec = make_scenario(args.name, seed=args.seed)
@@ -614,72 +571,30 @@ def _run_loadgen(args: argparse.Namespace) -> int:
                 fh.write(rendered + "\n")
             print(f"wrote {len(trace.requests)} trace requests to {args.dump_trace}")
         return 0
-    if args.procs > 1 and not args.target:
-        print("loadgen: --procs needs a TCP --target", file=sys.stderr)
-        return 2
-    if args.procs > 1 and args.dump_responses:
-        print("loadgen: --dump-responses needs --procs 1", file=sys.stderr)
-        return 2
-
     capture: list | None = [] if args.dump_responses else None
 
     async def replay():
         if args.target:
             host, _, port = args.target.rpartition(":")
-            # One throwaway probe learns the worker count so each
-            # connection can dial its bucket's home worker (zero-hop
-            # affinity); a single-worker target reports workers=1 and
-            # the probe degrades to a no-op.
-            probe = ServiceClient(host, int(port))
-            try:
-                _, health = await probe.request("GET", "/v1/healthz")
-            finally:
-                await probe.close()
-            workers = int(health.get("workers", 1))
-
-            def factory(index: int) -> ServiceClient:
-                prefer = None
-                if workers > 1 and args.connections % workers == 0:
-                    prefer = index % workers
-                return ServiceClient(host, int(port), prefer_worker=prefer)
-
             return await run_loadgen(
-                trace, factory, connections=args.connections, capture=capture
+                trace,
+                lambda: ServiceClient(host, int(port)),
+                connections=args.connections,
+                capture=capture,
             )
         app = build_app(city_name=spec.world.city_name, seed=args.seed)
         await app.start()
         try:
             return await run_loadgen(
                 trace,
-                lambda index: InProcessClient(app),
+                lambda: InProcessClient(app),
                 connections=args.connections,
                 capture=capture,
             )
         finally:
             await app.close()
 
-    if args.procs > 1:
-        host, _, port = args.target.rpartition(":")
-
-        async def probe_workers() -> int:
-            probe = ServiceClient(host, int(port))
-            try:
-                _, health = await probe.request("GET", "/v1/healthz")
-            finally:
-                await probe.close()
-            return int(health.get("workers", 1))
-
-        workers = _asyncio.run(probe_workers())
-        report = run_loadgen_procs(
-            trace,
-            host,
-            int(port),
-            connections=args.connections,
-            procs=args.procs,
-            workers=workers,
-        )
-    else:
-        report = _asyncio.run(replay())
+    report = _asyncio.run(replay())
     if capture is not None:
         with open(args.dump_responses, "w") as fh:
             _json.dump(capture, fh, sort_keys=True, separators=(",", ":"))

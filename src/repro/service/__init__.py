@@ -24,11 +24,9 @@ existing ``repro`` stack.
 
 from .app import InProcessClient, ServiceApp
 from .client import PushStreamClient, ServiceClient
-from .cluster import ClusterConfig, ClusterSupervisor, home_worker
 from .errors import (
     BadRequestError,
     ConfirmRefusedError,
-    ForwardOverloadedError,
     GeocastBoardFullError,
     NotFoundError,
     PostboxFullError,
@@ -46,7 +44,6 @@ from .loadgen import (
     format_report,
     generate_trace,
     run_loadgen,
-    run_loadgen_procs,
 )
 from .server import build_app, run_service
 from .shards import ShardedPostboxStore
@@ -54,11 +51,8 @@ from .shards import ShardedPostboxStore
 __all__ = [
     "BadRequestError",
     "ConfirmRefusedError",
-    "ClusterConfig",
-    "ClusterSupervisor",
     "DEFAULT_MIX",
     "DFNServer",
-    "ForwardOverloadedError",
     "GeocastBoard",
     "GeocastBoardFullError",
     "GeocastMessage",
@@ -78,8 +72,6 @@ __all__ = [
     "error_response",
     "format_report",
     "generate_trace",
-    "home_worker",
     "run_loadgen",
-    "run_loadgen_procs",
     "run_service",
 ]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 import time
 from typing import Awaitable, Callable
 
@@ -60,6 +61,18 @@ def _route(method: str, path: str, name: str):
     return register
 
 
+def _finite(value: int | float, key: str) -> float:
+    """A JSON number as a finite float (400 for NaN, ±Infinity, or an
+    integer past the float range)."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise BadRequestError(f"field {key!r} must be a finite number")
+    return value
+
+
 def _field(body: dict, key: str, kind: type, required: bool = True, default=None):
     """Fetch and type-check one request field (400 on violation)."""
     value = body.get(key, default)
@@ -68,7 +81,7 @@ def _field(body: dict, key: str, kind: type, required: bool = True, default=None
             raise BadRequestError(f"missing field {key!r}")
         return None
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value, key)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -126,11 +139,6 @@ class ServiceApp:
         self._epoch = time.time()
         self._instruments: dict[str, tuple] = {}
         self.started = False
-        #: Cluster identity: which worker this app instance is (0-based)
-        #: and how many exist.  The single-process service is the
-        #: degenerate one-worker cluster, so the defaults stay honest.
-        self.worker_index = 0
-        self.n_workers = 1
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -148,7 +156,7 @@ class ServiceApp:
         if body is not None:
             value = body.get("now_s")
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
+                return _finite(value, "now_s")
         return time.time() - self._epoch
 
     # -- dispatch -------------------------------------------------------
@@ -319,17 +327,11 @@ class ServiceApp:
     # -- health / stats ------------------------------------------------
     @_route("GET", "/v1/healthz", "healthz")
     async def _healthz(self, body: dict) -> dict:
-        return {
-            "ok": True,
-            "started": self.started,
-            "worker": self.worker_index,
-            "workers": self.n_workers,
-        }
+        return {"ok": True, "started": self.started}
 
     @_route("GET", "/v1/stats", "stats")
     async def _stats(self, body: dict) -> dict:
         return {
-            "worker": self.worker_index,
             "store": self.store.stats(),
             "geocast_live": self.board.live_count(),
             "directory_records": (

@@ -19,16 +19,6 @@ import json
 class ServiceClient:
     """One keep-alive connection to a :class:`~repro.service.DFNServer`.
 
-    Args:
-        host / port: the service address.
-        prefer_worker: in cluster mode, redial (bounded attempts) until
-            the kernel's ``SO_REUSEPORT`` pick lands on this worker —
-            the load generator aligns each connection with its owners'
-            home worker so the common case is zero-hop.
-        connect_attempts: redial budget for the affinity search; the
-            last connection is kept even on a miss (affinity is an
-            optimisation, never a correctness requirement).
-
     A dropped connection surfaces on the next call; **idempotent**
     requests (``request(..., idempotent=True)``) are retried once on a
     fresh socket and counted in :attr:`retries`, so the load report can
@@ -37,33 +27,17 @@ class ServiceClient:
     double-apply.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        prefer_worker: int | None = None,
-        connect_attempts: int = 8,
-    ):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.prefer_worker = prefer_worker
-        self.connect_attempts = max(1, connect_attempts)
         self.retries = 0
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 
     async def connect(self) -> None:
-        for attempt in range(self.connect_attempts):
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-            if self.prefer_worker is None:
-                return
-            _, hello = await self._round_trip("GET", "/v1/healthz", None)
-            if hello.get("worker", self.prefer_worker) == self.prefer_worker:
-                return
-            if attempt + 1 < self.connect_attempts:
-                await self.close()
+        self._reader, self._writer = await asyncio.open_connection(
+            self.host, self.port
+        )
 
     async def close(self) -> None:
         if self._writer is not None:

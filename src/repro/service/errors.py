@@ -17,7 +17,6 @@ __all__ = [
     "BadRequestError",
     "NotFoundError",
     "ShardOverloadedError",
-    "ForwardOverloadedError",
     "GeocastBoardFullError",
     "error_response",
 ]
@@ -69,28 +68,6 @@ class ShardOverloadedError(ServiceError):
         )
         self.shard = shard
         self.depth_limit = depth_limit
-
-
-class ForwardOverloadedError(ServiceError):
-    """The inter-worker forwarding path is saturated.
-
-    A cluster worker keeps a bounded in-flight window per peer link;
-    when a request must hop to its owner's home worker and that window
-    is full (or the peer is gone), the worker rejects it with typed
-    backpressure instead of queueing without bound — the same contract
-    as :class:`ShardOverloadedError`, one layer further out.
-    """
-
-    status = 503
-    code = "forward_overloaded"
-
-    def __init__(self, peer: int, in_flight_limit: int):
-        super().__init__(
-            f"forward link to worker {peer} at its in-flight limit "
-            f"({in_flight_limit} requests)"
-        )
-        self.peer = peer
-        self.in_flight_limit = in_flight_limit
 
 
 class GeocastBoardFullError(ServiceError):

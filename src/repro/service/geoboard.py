@@ -23,11 +23,7 @@ record how much work each sweep did.
 The board is event-loop-local state (the service runs it inside one
 asyncio loop), so there is no locking; a full board rejects publishes
 with the typed :class:`GeocastBoardFullError` rather than evicting
-silently.  In a multi-worker cluster each worker keeps a full replica
-of the board (publishes are broadcast, polls stay local): ids are then
-allocated on a per-worker stride (``id_start``/``id_stride``) so two
-workers can accept publishes concurrently without ever colliding, and
-:meth:`apply` inserts an already-allocated replica verbatim.
+silently.
 """
 
 from __future__ import annotations
@@ -76,23 +72,18 @@ class GeocastBoard:
         cell_size: float = 200.0,
         max_radius: float = 2000.0,
         max_messages: int = 100_000,
-        id_start: int = 1,
-        id_stride: int = 1,
     ):
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
-        if id_start < 1 or id_stride < 1:
-            raise ValueError("id allocation must start at >= 1 with stride >= 1")
         self.cell_size = cell_size
         self.max_radius = max_radius
         self.max_messages = max_messages
-        self.id_stride = id_stride
         self._messages: dict[int, GeocastMessage] = {}
         self._cells: dict[tuple[int, int], list[int]] = {}
         # Expiry-ordered heap of (expires_s, geocast_id); entries whose
         # id already left ``_messages`` (lazy poll prune) are skipped.
         self._expiry: list[tuple[float, int]] = []
-        self._next_id = id_start
+        self._next_id = 1
 
     def _cell(self, x: float, y: float) -> tuple[int, int]:
         return (int(x // self.cell_size), int(y // self.cell_size))
@@ -110,14 +101,6 @@ class GeocastBoard:
             )
         if ttl_s <= 0:
             raise BadRequestError("geocast ttl must be positive")
-
-    def _insert(self, message: GeocastMessage) -> None:
-        self._messages[message.geocast_id] = message
-        for cell in self._covered_cells(message):
-            self._cells.setdefault(cell, []).append(message.geocast_id)
-        heapq.heappush(
-            self._expiry, (message.posted_s + message.ttl_s, message.geocast_id)
-        )
 
     def _unindex(self, message: GeocastMessage) -> None:
         """Remove one message's id from exactly the cells it covered."""
@@ -168,42 +151,15 @@ class GeocastBoard:
             posted_s=now_s,
             ttl_s=ttl_s,
         )
-        self._next_id += self.id_stride
-        self._insert(message)
+        self._next_id += 1
+        self._messages[message.geocast_id] = message
+        for cell in self._covered_cells(message):
+            self._cells.setdefault(cell, []).append(message.geocast_id)
+        heapq.heappush(
+            self._expiry, (message.posted_s + message.ttl_s, message.geocast_id)
+        )
         _M_PUBLISHED.inc()
         return message.geocast_id
-
-    def apply(self, message: GeocastMessage) -> None:
-        """Insert a replica published on another worker, verbatim.
-
-        The id was allocated by the accepting worker's stride, so it
-        can never collide with this board's own allocations.  Replicas
-        bypass the capacity check — every board in a cluster must hold
-        the same message set, and the acceptor already enforced the cap.
-
-        Re-applying an id that is already live is idempotent for an
-        identical frame; a *refreshed* replica (same id, later expiry —
-        an operator re-pinning a shelter notice) replaces the live
-        message.  The old heap entry stays behind, but :meth:`sweep`
-        checks each popped entry against the live message's actual
-        expiry, so the refresh can never be dropped early or counted
-        expired twice.
-        """
-        existing = self._messages.get(message.geocast_id)
-        if existing is not None:
-            if (
-                message.posted_s + message.ttl_s
-                <= existing.posted_s + existing.ttl_s
-            ):
-                return  # duplicate (or stale) broadcast frame: idempotent
-            self._unindex(existing)
-            del self._messages[message.geocast_id]
-        self._insert(message)
-
-    def get(self, geocast_id: int) -> GeocastMessage | None:
-        """The live message with this id, if any (cluster replication
-        reads the freshly published message back to broadcast it)."""
-        return self._messages.get(geocast_id)
 
     def poll(
         self, x: float, y: float, now_s: float, limit: int = 50
@@ -242,13 +198,6 @@ class GeocastBoard:
         """Pop the expired prefix of the expiry heap (at most ``limit``
         drops when bounded); each drop is unindexed from exactly the
         cells its disc covered.  Returns the number dropped.
-
-        Each popped entry is identity-checked against the live message:
-        an entry whose recorded expiry predates the message's actual
-        one belongs to a since-refreshed publish (the refresh pushed a
-        newer heap entry), so it is skipped — the refreshed message
-        stays live and is neither dropped early nor double-counted in
-        ``geoboard.expired``.
         """
         dropped = 0
         scanned = 0
@@ -256,12 +205,10 @@ class GeocastBoard:
             if limit is not None and dropped >= limit:
                 break
             scanned += 1
-            expires_s, geocast_id = heapq.heappop(self._expiry)
+            _, geocast_id = heapq.heappop(self._expiry)
             message = self._messages.get(geocast_id)
             if message is None:
                 continue  # already pruned lazily by a poll
-            if message.posted_s + message.ttl_s > expires_s:
-                continue  # stale entry: this id was refreshed since
             del self._messages[geocast_id]
             self._unindex(message)
             dropped += 1

@@ -17,11 +17,10 @@ pending in the store — at-least-once always, exactly once when the
 client answers.
 
 Pushes are **wake-on-delivery**: each stream registers a per-owner
-``asyncio.Event`` with the :class:`LocalPushGateway` (or the cluster
-gateway, which also watches the owner's home worker over the
-inter-worker links), and the shard writer sets the event the moment a
-delivery appends a push record — push latency is O(delivery), not
-O(poll interval).  The old poll remains only as a safety-net timeout.
+``asyncio.Event`` with the :class:`LocalPushGateway`, and the shard
+writer sets the event the moment a delivery appends a push record —
+push latency is O(delivery), not O(poll interval).  The old poll
+remains only as a safety-net timeout.
 
 ``DFNServer`` owns the listening socket and the connection set, and
 shuts down gracefully: stop accepting, let in-flight requests finish
@@ -35,8 +34,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import socket as socket_module
-from typing import Awaitable, Callable
 
 from ..obs import REGISTRY
 from .app import ServiceApp, _message_dict
@@ -67,9 +64,6 @@ _STATUS_TEXT = {
     503: "Service Unavailable",
 }
 
-Dispatch = Callable[[str, str, bytes], Awaitable[tuple[int, dict]]]
-
-
 def _response_bytes(status: int, payload: dict, keep_alive: bool) -> bytes:
     body = json.dumps(payload, separators=(",", ":")).encode()
     reason = _STATUS_TEXT.get(status, "OK")
@@ -84,18 +78,13 @@ def _response_bytes(status: int, payload: dict, keep_alive: bool) -> bytes:
 
 
 class LocalPushGateway:
-    """Single-process push plumbing: per-owner wake events over the store.
+    """Per-owner wake events over the store.
 
-    The gateway is the seam between the push stream and the postbox
-    store.  In one process it wires the store's ``on_push`` hook to a
-    registry of per-owner :class:`asyncio.Event`\\ s; the cluster swaps
-    in a gateway that additionally forwards take/confirm to the owner's
-    home worker and relays wakes over the inter-worker links — the
-    stream handler cannot tell the difference.
+    Wires the store's ``on_push`` hook to a registry of per-owner
+    :class:`asyncio.Event`\\ s, one per open push stream.
     """
 
     def __init__(self, app: ServiceApp):
-        self.app = app
         self._waiters: dict[str, set[asyncio.Event]] = {}
         app.store.on_push = self.wake
 
@@ -114,38 +103,22 @@ class LocalPushGateway:
             for event in waiters:
                 event.set()
 
-    async def register(self, owner: str) -> asyncio.Event:
+    def register(self, owner: str) -> asyncio.Event:
         """Create and register this stream's wake event."""
         event = asyncio.Event()
         self._waiters.setdefault(owner, set()).add(event)
         return event
 
-    async def unregister(self, owner: str, event: asyncio.Event) -> None:
+    def unregister(self, owner: str, event: asyncio.Event) -> None:
         waiters = self._waiters.get(owner)
         if waiters is not None:
             waiters.discard(event)
             if not waiters:
                 del self._waiters[owner]
 
-    async def take_pushes(self, owner: str) -> list[dict]:
-        """Drain the owner's push records, rendered as wire dicts."""
-        return [
-            _message_dict(m) for m in await self.app.store.take_pushes(owner)
-        ]
-
-    async def confirm(self, owner: str, msg_id: int) -> bool:
-        return await self.app.store.confirm_push(owner, msg_id)
-
 
 class DFNServer:
-    """The always-on DFN service: a ``ServiceApp`` behind TCP.
-
-    ``dispatch``, ``gateway``, and ``sock`` are injection points for
-    the multi-worker cluster: a worker passes its owner-affine routing
-    dispatch, its cross-worker push gateway, and its pre-bound
-    ``SO_REUSEPORT`` listening socket; single-process callers leave all
-    three at their defaults.
-    """
+    """The always-on DFN service: a ``ServiceApp`` behind TCP."""
 
     def __init__(
         self,
@@ -153,19 +126,12 @@ class DFNServer:
         host: str = "127.0.0.1",
         port: int = 0,
         push_poll_interval_s: float = DEFAULT_PUSH_FALLBACK_S,
-        sock: socket_module.socket | None = None,
-        dispatch: Dispatch | None = None,
-        gateway: LocalPushGateway | None = None,
-        accept_connections: bool = True,
     ):
         self.app = app
         self.host = host
         self.requested_port = port
         self.push_poll_interval_s = push_poll_interval_s
-        self._sock = sock
-        self._accept_connections = accept_connections
-        self._dispatch: Dispatch = dispatch if dispatch is not None else app.dispatch
-        self.gateway = gateway if gateway is not None else LocalPushGateway(app)
+        self.gateway = LocalPushGateway(app)
         self._server: asyncio.base_events.Server | None = None
         self._connections: dict[asyncio.Task, dict] = {}
         self._draining = asyncio.Event()
@@ -180,23 +146,13 @@ class DFNServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Start shard writers and begin accepting connections.
-
-        With ``accept_connections=False`` no listener is created — the
-        fd-passing cluster mode feeds connections in through
-        :meth:`adopt_connection` instead.
-        """
+        """Start shard writers and begin accepting connections."""
         await self.app.start()
-        if not self._accept_connections:
-            self._server = None
-        elif self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=self._sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, self.host, self.requested_port
-            )
+        # The reader's buffer limit is the header limit: a head that
+        # has not ended within it is refused instead of buffered.
+        self._server = await asyncio.start_server(
+            self._on_connection, self.host, self.requested_port, limit=MAX_HEADER_BYTES
+        )
         self._draining.clear()
         self._stopped.clear()
 
@@ -217,9 +173,7 @@ class DFNServer:
             await self._server.wait_closed()
             self._server = None
         self._draining.set()
-        wake_all = getattr(self.gateway, "wake_all", None)
-        if wake_all is not None:
-            wake_all()
+        self.gateway.wake_all()
         for task, state in list(self._connections.items()):
             if not state["busy"] and not state["stream"]:
                 task.cancel()
@@ -246,14 +200,6 @@ class DFNServer:
         task.add_done_callback(lambda t: self._connections.pop(t, None))
         _M_CONNS.inc()
         _G_OPEN.set(len(self._connections))
-
-    async def adopt_connection(self, conn: socket_module.socket) -> None:
-        """Serve an already-accepted connection (the ``send_fds``
-        fallback path: the cluster parent accepts and hands the fd to a
-        worker when the platform lacks ``SO_REUSEPORT``)."""
-        conn.setblocking(False)
-        reader, writer = await asyncio.open_connection(sock=conn)
-        self._on_connection(reader, writer)
 
     async def _handle(
         self,
@@ -283,14 +229,6 @@ class DFNServer:
                     )
                     return
                 state["busy"] = True
-                if len(header_block) > MAX_HEADER_BYTES:
-                    writer.write(
-                        _response_bytes(
-                            400, {"error": "bad_request", "detail": "headers too large"},
-                            keep_alive=False,
-                        )
-                    )
-                    return
                 request = self._parse_head(header_block)
                 if request is None:
                     writer.write(
@@ -320,7 +258,7 @@ class DFNServer:
                     state["stream"] = True
                     await self._handle_stream(query, reader, writer)
                     return  # the stream consumes the connection
-                status, payload = await self._dispatch(method, path, body)
+                status, payload = await self.app.dispatch(method, path, body)
                 writer.write(_response_bytes(status, payload, keep_alive))
                 await writer.drain()
                 if not keep_alive:
@@ -407,14 +345,9 @@ class DFNServer:
             b"Cache-Control: no-store\r\n"
             b"Connection: close\r\n\r\n"
         )
-        writer.write(
-            json.dumps(
-                {"type": "hello", "owner": owner, "worker": self.app.worker_index}
-            ).encode()
-            + b"\n"
-        )
+        writer.write(json.dumps({"type": "hello", "owner": owner}).encode() + b"\n")
         await writer.drain()
-        wake = await self.gateway.register(owner)
+        wake = self.gateway.register(owner)
         pusher = asyncio.create_task(self._stream_pusher(owner, wake, writer))
         confirmer = asyncio.create_task(
             self._stream_confirmer(owner, reader, writer)
@@ -439,7 +372,7 @@ class DFNServer:
                     writer.write(json.dumps({"type": "bye"}).encode() + b"\n")
                     await writer.drain()
         finally:
-            await self.gateway.unregister(owner, wake)
+            self.gateway.unregister(owner, wake)
 
     async def _stream_pusher(
         self, owner: str, wake: asyncio.Event, writer: asyncio.StreamWriter
@@ -447,19 +380,20 @@ class DFNServer:
         """Write push lines as deliveries land; return on drain."""
         while True:
             wake.clear()
-            pushes = await self.gateway.take_pushes(owner)
+            pushes = await self.app.store.take_pushes(owner)
             for push in pushes:
                 writer.write(
-                    json.dumps({"type": "push", **push}).encode() + b"\n"
+                    json.dumps({"type": "push", **_message_dict(push)}).encode()
+                    + b"\n"
                 )
             if pushes:
                 await writer.drain()
             if self._draining.is_set():
                 return
-            # Wake-on-delivery: the event is set by the shard writer
-            # (or a remote wake frame).  The timeout is only a safety
-            # net; any delivery between take_pushes and here re-set the
-            # event, so no wake is ever lost.
+            # Wake-on-delivery: the event is set by the shard writer.
+            # The timeout is only a safety net; any delivery between
+            # take_pushes and here re-set the event, so no wake is ever
+            # lost.
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
                     wake.wait(), timeout=self.push_poll_interval_s
@@ -470,24 +404,23 @@ class DFNServer:
     ) -> None:
         """Apply the client's confirm lines until it hangs up."""
         while True:
-            line = await reader.readline()
-            if not line:
-                return  # EOF: client hung up
             try:
-                event = json.loads(line)
-                msg_id = event["confirm"]
-            except (ValueError, KeyError, TypeError):
+                line = await reader.readline()
+                if not line:
+                    return  # EOF: client hung up
+                msg_id = int(json.loads(line)["confirm"])
+            except (ValueError, KeyError, TypeError, OverflowError):
+                # Not JSON, no integer ``confirm``, or a line past the
+                # reader's limit (readline drops it and raises).
                 writer.write(
                     json.dumps({"type": "error", "error": "bad_confirm"}).encode()
                     + b"\n"
                 )
                 await writer.drain()
                 continue
-            ok = await self.gateway.confirm(owner, int(msg_id))
+            ok = await self.app.store.confirm_push(owner, msg_id)
             writer.write(
-                json.dumps(
-                    {"type": "confirmed", "msg_id": int(msg_id), "ok": ok}
-                ).encode()
+                json.dumps({"type": "confirmed", "msg_id": msg_id, "ok": ok}).encode()
                 + b"\n"
             )
             await writer.drain()

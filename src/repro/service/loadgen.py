@@ -334,7 +334,6 @@ class LoadReport:
     errors: int  # 5xx
     rejects: int  # 429 + 503 (typed backpressure)
     retries: int = 0  # idempotent reconnect-and-retry events
-    procs: int = 1  # generator processes that produced the load
 
     def to_dict(self) -> dict:
         return {
@@ -350,7 +349,6 @@ class LoadReport:
             "errors": self.errors,
             "rejects": self.rejects,
             "retries": self.retries,
-            "procs": self.procs,
         }
 
 
@@ -372,10 +370,7 @@ def partition_trace(
     """Split a trace into the serial prelude and per-connection buckets.
 
     Requests are partitioned by ``blake2b(owner) % connections`` — the
-    same digest the sharded store and the cluster's
-    :func:`~repro.service.cluster.home_worker` use, so when the worker
-    count divides the connection count every request of bucket *b* is
-    homed on worker ``b % workers`` and replays zero-hop.
+    same digest the sharded store uses to pick a shard.
     """
     prelude = [r for r in trace.requests if r.kind == "directory_publish"]
     buckets: list[list[TraceRequest]] = [[] for _ in range(connections)]
@@ -445,7 +440,6 @@ def _assemble_report(
     prelude_counts: dict[int, int],
     wall_s: float,
     connections: int,
-    procs: int = 1,
 ) -> LoadReport:
     latencies = sorted(lat for r in results for lat in r.latencies)
     status_counts = dict(prelude_counts)
@@ -466,7 +460,6 @@ def _assemble_report(
         errors=sum(n for s, n in status_counts.items() if s >= 500),
         rejects=status_counts.get(429, 0) + status_counts.get(503, 0),
         retries=sum(r.retries for r in results),
-        procs=procs,
     )
 
 
@@ -487,7 +480,7 @@ async def _run_prelude(client, prelude: list[TraceRequest], capture: list | None
 
 async def run_loadgen(
     trace: LoadTrace,
-    client_factory: Callable[[int], object],
+    client_factory: Callable[[], object],
     connections: int = 32,
     capture: list | None = None,
 ) -> LoadReport:
@@ -495,13 +488,10 @@ async def run_loadgen(
 
     Args:
         trace: the deterministic request trace.
-        client_factory: builds one transport per connection, given the
-            connection index — a
+        client_factory: builds one transport per connection — a
             :class:`~repro.service.client.ServiceClient` for TCP or an
             :class:`~repro.service.app.InProcessClient` for no-socket
             runs; anything with ``request``/``close`` coroutines works.
-            The index lets TCP factories pin the connection to its
-            bucket's home worker in cluster mode.
         connections: virtual phones' multiplexing degree.  Requests are
             partitioned by owner hash so one owner's requests replay in
             trace order on one connection.
@@ -518,131 +508,14 @@ async def run_loadgen(
     prelude, buckets = partition_trace(trace, connections)
     prelude_counts: dict[int, int] = {}
     if prelude:
-        prelude_counts = await _run_prelude(client_factory(0), prelude, capture)
+        prelude_counts = await _run_prelude(client_factory(), prelude, capture)
 
     wall_start = time.perf_counter()
     results = await asyncio.gather(
-        *(
-            _replay_bucket(client_factory(i), buckets[i], capture)
-            for i in range(connections)
-        )
+        *(_replay_bucket(client_factory(), bucket, capture) for bucket in buckets)
     )
     wall_s = time.perf_counter() - wall_start
     return _assemble_report(list(results), prelude_counts, wall_s, connections)
-
-
-def _procs_entry(
-    proc_index: int,
-    procs: int,
-    host: str,
-    port: int,
-    workers: int,
-    buckets: list[list[TraceRequest]],
-    sink,
-) -> None:
-    """One generator process: replay its slice of the buckets."""
-    from .client import ServiceClient
-
-    connections = len(buckets)
-    my_indices = [i for i in range(connections) if i % procs == proc_index]
-
-    def factory(index: int) -> ServiceClient:
-        prefer = None
-        if workers > 1 and connections % workers == 0:
-            prefer = index % workers
-        return ServiceClient(host, port, prefer_worker=prefer)
-
-    async def body():
-        t0 = time.perf_counter()
-        results = await asyncio.gather(
-            *(_replay_bucket(factory(i), buckets[i]) for i in my_indices)
-        )
-        return list(results), time.perf_counter() - t0
-
-    results, wall_s = asyncio.run(body())
-    sink.put(
-        {
-            "wall_s": wall_s,
-            "results": [
-                {
-                    "latencies": r.latencies,
-                    "counts": r.counts,
-                    "confirms": r.confirms,
-                    "retries": r.retries,
-                }
-                for r in results
-            ],
-        }
-    )
-
-
-def run_loadgen_procs(
-    trace: LoadTrace,
-    host: str,
-    port: int,
-    connections: int = 32,
-    procs: int = 2,
-    workers: int = 1,
-) -> LoadReport:
-    """Multi-process closed-loop replay (``repro loadgen --procs N``).
-
-    A single-process generator becomes the bottleneck before an
-    N-worker service does; this forks ``procs`` generator processes,
-    each replaying an interleaved slice of the per-connection buckets,
-    and merges their raw observations.  Sustained req/s is total
-    requests over the *slowest* process's wall clock — the honest
-    number for overlapping generators.
-
-    Synchronous by design (it owns its child processes and their event
-    loops); TCP only.
-    """
-    import multiprocessing
-
-    if procs < 1:
-        raise ValueError("need at least one generator process")
-    if connections < procs:
-        raise ValueError("need at least one connection per generator process")
-    prelude, buckets = partition_trace(trace, connections)
-
-    from .client import ServiceClient
-
-    prelude_counts: dict[int, int] = {}
-    if prelude:
-        prelude_counts = asyncio.run(
-            _run_prelude(ServiceClient(host, port), prelude, None)
-        )
-
-    ctx = multiprocessing.get_context("fork")
-    sink = ctx.SimpleQueue()
-    children = [
-        ctx.Process(
-            target=_procs_entry,
-            args=(p, procs, host, port, workers, buckets, sink),
-            name=f"loadgen-{p}",
-        )
-        for p in range(procs)
-    ]
-    for child in children:
-        child.start()
-    merged: list[_BucketResult] = []
-    wall_s = 0.0
-    for _ in children:
-        payload = sink.get()
-        wall_s = max(wall_s, payload["wall_s"])
-        for raw in payload["results"]:
-            merged.append(
-                _BucketResult(
-                    latencies=raw["latencies"],
-                    counts={int(k): v for k, v in raw["counts"].items()},
-                    confirms=raw["confirms"],
-                    retries=raw["retries"],
-                )
-            )
-    for child in children:
-        child.join()
-    return _assemble_report(
-        merged, prelude_counts, wall_s, connections, procs=procs
-    )
 
 
 def format_report(report: LoadReport, trace: LoadTrace) -> str:
@@ -655,7 +528,7 @@ def format_report(report: LoadReport, trace: LoadTrace) -> str:
         (
             f"  {report.requests} requests ({report.confirms} push confirms, "
             f"{report.retries} idempotent retries) over {report.connections} "
-            f"connections x {report.procs} proc(s) in {report.wall_s:.2f} s"
+            f"connections in {report.wall_s:.2f} s"
         ),
         (
             f"  sustained {report.req_per_s:,.0f} req/s — "

@@ -90,8 +90,7 @@ class ShardedPostboxStore:
         #: shard writer task whenever an operation appended push
         #: records to that owner's box (an urgent delivery with a
         #: cached location).  The push stream registers per-owner
-        #: events behind this instead of polling; a cluster worker
-        #: additionally fans the wake out to remote watchers.
+        #: events behind this instead of polling.
         self.on_push: Callable[[str], None] | None = None
 
     # -- lifecycle ------------------------------------------------------

@@ -128,6 +128,7 @@ class TestBadInput:
             ["serve", "--city", "nowhere"],
             ["serve", "--shards", "0"],
             ["serve", "--workers", "0"],
+            ["serve", "--workers", "2"],
             ["serve", "--capacity", "0"],
             ["serve", "--queue-limit", "0"],
             ["serve", "--port", "70000"],
@@ -144,6 +145,16 @@ class TestBadInput:
         assert "Traceback" not in err
         command = " ".join(a for a in argv[:2] if not a.startswith("-"))
         assert err.splitlines()[-1].startswith(f"citymesh {command}: error: argument")
+
+    def test_removed_loadgen_procs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "river-flood", "--procs", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "citymesh: error: unrecognized arguments: --procs 2"
+        )
 
     def test_bounds_are_inclusive(self):
         args = build_parser().parse_args(

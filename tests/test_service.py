@@ -2,9 +2,10 @@
 
 Everything here drives :meth:`repro.service.ServiceApp.dispatch`
 through :class:`InProcessClient` — request bytes in, (status, payload)
-out, no sockets anywhere — except the one TCP test at the bottom that
-exercises the real HTTP/1.1 server and the NDJSON push stream over an
-ephemeral loopback port.
+out, no sockets anywhere — except the TCP tests at the bottom that
+exercise the real HTTP/1.1 server and the NDJSON push stream over an
+ephemeral loopback port, and a real ``repro serve`` process under
+SIGTERM.
 
 The stdlib-only constraint shapes the idiom: tests are synchronous
 functions that run their async body with ``asyncio.run``.
@@ -12,7 +13,15 @@ functions that run their async body with ``asyncio.run``.
 
 import asyncio
 import base64
+import contextlib
+import os
 import random
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from repro.apps import DirectoryRecord
 from repro.cli import main
@@ -21,7 +30,6 @@ from repro.postbox import KeyPair, Postbox, PostboxAddress
 from repro.service import (
     DFNServer,
     GeocastBoard,
-    GeocastMessage,
     InProcessClient,
     PushStreamClient,
     ServiceApp,
@@ -31,6 +39,8 @@ from repro.service import (
     run_loadgen,
 )
 from repro.scenario import make_scenario
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _b64(data: bytes) -> str:
@@ -325,12 +335,7 @@ def test_healthz_and_stats():
         client = await _started(app)
         try:
             status, out = await client.request("GET", "/v1/healthz")
-            assert status == 200 and out == {
-                "ok": True,
-                "started": True,
-                "worker": 0,
-                "workers": 1,
-            }
+            assert status == 200 and out == {"ok": True, "started": True}
 
             await client.request(
                 "POST",
@@ -507,69 +512,6 @@ def test_geocast_full_board_clears_after_expiry_without_polls():
     asyncio.run(body())
 
 
-def test_geocast_refresh_outlives_its_stale_heap_entry():
-    """Regression: a refreshed geocast (same id, later expiry, via the
-    cluster ``apply`` path — an operator re-pinning a shelter notice)
-    leaves its *original* heap entry behind.  The sweep must identity-
-    check each popped entry against the live message's actual expiry:
-    the refresh stays live past the old deadline, is dropped exactly
-    once at the new one, and ``geoboard.expired`` never double-counts."""
-
-    from repro.obs import REGISTRY
-
-    board = GeocastBoard()
-    expired = REGISTRY.counter("geoboard.expired")
-    gid = board.publish(0.0, 0.0, 100.0, b"v1", now_s=0.0, ttl_s=10.0)
-    board.apply(
-        GeocastMessage(
-            geocast_id=gid,
-            x=0.0,
-            y=0.0,
-            radius=100.0,
-            payload=b"v2",
-            posted_s=5.0,
-            ttl_s=10.0,
-        )
-    )
-    before = expired.value
-
-    # Between the old expiry (10 s) and the new one (15 s): the stale
-    # heap entry pops but the refreshed message must survive.
-    assert board.sweep(12.0) == 0
-    assert expired.value == before
-    assert [m.payload for m in board.poll(0.0, 0.0, now_s=12.0)] == [b"v2"]
-
-    # Past the new expiry: dropped once, counted once, index clean.
-    assert board.sweep(16.0) == 1
-    assert expired.value == before + 1
-    assert board.poll(0.0, 0.0, now_s=16.0) == []
-    assert board.live_count() == 0
-    assert board.sweep(17.0) == 0
-    assert expired.value == before + 1
-
-
-def test_geocast_stale_replica_apply_is_idempotent():
-    board = GeocastBoard()
-    gid = board.publish(0.0, 0.0, 100.0, b"v1", now_s=0.0, ttl_s=10.0)
-    live = board.get(gid)
-    # A duplicate broadcast frame (same expiry) and a stale one
-    # (earlier expiry) must both leave the live message untouched.
-    board.apply(live)
-    board.apply(
-        GeocastMessage(
-            geocast_id=gid,
-            x=0.0,
-            y=0.0,
-            radius=100.0,
-            payload=b"old",
-            posted_s=0.0,
-            ttl_s=5.0,
-        )
-    )
-    assert board.get(gid).payload == b"v1"
-    assert board.live_count() == 1
-
-
 # ---------------------------------------------------------------------------
 # directory endpoints
 
@@ -690,7 +632,7 @@ def test_loadgen_inprocess_replay_is_clean():
         await app.start()
         try:
             report = await run_loadgen(
-                trace, lambda index: InProcessClient(app), connections=4
+                trace, lambda: InProcessClient(app), connections=4
             )
         finally:
             await app.close()
@@ -806,3 +748,128 @@ def test_tcp_server_and_push_stream():
             await server.close()
 
     asyncio.run(body())
+
+
+async def _wait_ready(port: int, attempts: int = 200) -> dict:
+    last: Exception | None = None
+    for _ in range(attempts):
+        client = ServiceClient("127.0.0.1", port)
+        try:
+            status, out = await client.request("GET", "/v1/healthz")
+            if status == 200 and out.get("started"):
+                return out
+        except OSError as exc:
+            last = exc
+        finally:
+            await client.close()
+        await asyncio.sleep(0.05)
+    raise AssertionError(f"service never became ready: {last}")
+
+
+def test_wake_on_delivery_single_process():
+    """With the safety-net poll set absurdly high, a push can only
+    arrive promptly via the delivery wake — so prompt arrival proves
+    the wake path, not the poll."""
+
+    async def body() -> None:
+        app = ServiceApp()
+        server = DFNServer(app, port=0, push_poll_interval_s=30.0)
+        await server.start()
+        try:
+            client = ServiceClient("127.0.0.1", server.port)
+            await client.request(
+                "POST",
+                "/v1/postbox/check",
+                {"owner": "bob", "x": 0.0, "y": 0.0, "now_s": 0.0},
+            )
+            stream = PushStreamClient("127.0.0.1", server.port, owner="bob")
+            await stream.connect()
+            t0 = time.perf_counter()
+            await client.request(
+                "POST",
+                "/v1/postbox/send",
+                {"owner": "bob", "payload": _b64(b"x"), "urgent": True, "now_s": 1.0},
+            )
+            push = await stream.next_push(timeout_s=5.0)
+            elapsed = time.perf_counter() - t0
+            assert push["msg_id"] == 1
+            assert elapsed < 1.0, f"wake took {elapsed:.3f}s — poll fallback?"
+            assert await stream.confirm(push["msg_id"]) is True
+            await stream.close()
+            await client.close()
+        finally:
+            await server.close()
+
+    asyncio.run(body())
+
+
+def test_serve_sigterm_exits_zero_with_open_stream(tmp_path):
+    """``repro serve`` under SIGTERM with an open push stream and a
+    keep-alive connection: confirmed pushes flush, the NDJSON stream
+    ends with ``bye``, the process exits 0."""
+
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            "--port",
+            "0",
+            "--workers",
+            "1",
+        ],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        ready = proc.stdout.readline()
+        match = re.search(r"http://127\.0\.0\.1:(\d+)", ready)
+        assert match, f"no ready line: {ready!r}"
+        port = int(match.group(1))
+
+        async def body() -> None:
+            await _wait_ready(port)
+            owner = "phone-00321"
+            client = ServiceClient("127.0.0.1", port)
+            await client.request(
+                "POST",
+                "/v1/postbox/check",
+                {"owner": owner, "x": 0.0, "y": 0.0, "now_s": 0.0},
+            )
+            stream = PushStreamClient("127.0.0.1", port, owner=owner)
+            await stream.connect()
+            status, _ = await client.request(
+                "POST",
+                "/v1/postbox/send",
+                {"owner": owner, "payload": _b64(b"x"), "urgent": True,
+                 "now_s": 1.0},
+            )
+            assert status == 200
+            push = await stream.next_push(timeout_s=5.0)
+            assert await stream.confirm(push["msg_id"]) is True
+
+            proc.send_signal(signal.SIGTERM)
+            saw_bye = False
+            with contextlib.suppress(ConnectionError):
+                for _ in range(20):
+                    event = await asyncio.wait_for(
+                        stream._next_event(), timeout=10.0
+                    )
+                    if event.get("type") == "bye":
+                        saw_bye = True
+                        break
+            assert saw_bye
+            await stream.close()
+            await client.close()
+
+        asyncio.run(body())
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
