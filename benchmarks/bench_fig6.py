@@ -10,11 +10,7 @@ delivery per city; the bench uses 150/15 per city so the suite stays
 interactive.  Run ``python -m repro fig6`` for full scale.
 """
 
-import os
-
 from repro.experiments import format_fig6, run_fig6
-
-BENCH_WORKERS = int(os.environ.get("BENCH_WORKERS", "1"))
 
 DENSE_CITIES = {"gridport", "parkside", "pontsville"}
 FRACTURED_CITIES = {"riverton", "capitolia"}
@@ -22,9 +18,7 @@ FRACTURED_CITIES = {"riverton", "capitolia"}
 
 def test_bench_fig6(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_fig6(
-            seed=0, reach_pairs=150, delivery_pairs=15, workers=BENCH_WORKERS
-        ),
+        lambda: run_fig6(seed=0, reach_pairs=150, delivery_pairs=15),
         rounds=1,
         iterations=1,
     )

@@ -5,25 +5,18 @@ per session so each bench times its own experiment, not world
 construction.
 
 Benches that sweep independent trials run through a shared
-:class:`~repro.experiments.TrialRunner`; set ``BENCH_WORKERS`` to fan
-them out over processes (results are identical for any worker count —
-that invariance is part of what the suite checks).
+:class:`~repro.experiments.TrialRunner`.
 """
-
-import os
 
 import pytest
 
 from repro.experiments import TrialRunner, build_world
 from repro.measurement import run_study
 
-BENCH_WORKERS = int(os.environ.get("BENCH_WORKERS", "1"))
-
-
 @pytest.fixture(scope="session")
 def bench_runner():
-    """The session's trial runner (``BENCH_WORKERS`` processes)."""
-    with TrialRunner(workers=BENCH_WORKERS) as runner:
+    """The session's trial runner."""
+    with TrialRunner() as runner:
         yield runner
 
 

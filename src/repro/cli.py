@@ -53,7 +53,13 @@ from .experiments import (
 )
 from .city import CITY_PRESETS, METRO_PRESETS
 from .measurement import run_study
-from .obs import REGISTRY, close_trace, set_trace_path, summarize_trace
+from .obs import (
+    REGISTRY,
+    close_trace,
+    config_hash,
+    set_trace_path,
+    summarize_trace,
+)
 from .scenario import (
     ARCHETYPES,
     CongestionSpec,
@@ -72,12 +78,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
         "--workers",
-        type=_bounded(int, 1),
+        type=int,
+        choices=(1,),
         default=1,
-        help=(
-            "worker processes for independent trials (results are "
-            "identical for any value; 1 = in-process)"
-        ),
+        help="trial processes: trials run in-process, so only 1 is accepted",
     )
     parser.add_argument(
         "--trace",
@@ -302,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help=(
             "run seeded random generated timelines, checking driver "
-            "invariants and worker-count determinism (nonzero exit on "
-            "any violation)"
+            "invariants and replay determinism (nonzero exit on any "
+            "violation)"
         ),
     )
     _add_common(sp)
@@ -419,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     if trace:
         set_trace_path(trace)
     try:
-        with TrialRunner(workers=getattr(args, "workers", 1)) as runner:
+        with TrialRunner() as runner:
             return _dispatch(args, seed, runner)
     finally:
         if trace:
@@ -653,7 +657,6 @@ def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
             cities=args.cities,
             reach_pairs=args.reach_pairs,
             delivery_pairs=args.delivery_pairs,
-            workers=args.workers,
         )
         print(format_fig6(rows))
         if args.plot:
@@ -763,16 +766,13 @@ def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
             for spec in fuzz_specs(args.count, seed, city=args.city):
                 result = run_scenario(spec, runner=runner)
                 problems = check_invariants(result, spec)
-                replay = run_scenario(spec)  # serial replay: worker gate
-                if result.to_json(manifest=False) != replay.to_json(
-                    manifest=False
-                ):
-                    problems.append(
-                        "result not byte-identical to a serial replay"
-                    )
+                core = result.to_json(manifest=False)
+                if core != run_scenario(spec).to_json(manifest=False):
+                    problems.append("result not byte-identical to a replay")
                 tag = "FAIL" if problems else "ok"
                 print(
                     f"{tag:4s} {spec.name:28s} {spec_digest(spec)} "
+                    f"result={config_hash(core)[:16]} "
                     f"flows={spec.flows}+{spec.mobile_flows}m "
                     f"cong={'y' if spec.congestion else 'n'} "
                     f"min_rate={result.min_delivery_rate:.2f}"
@@ -808,7 +808,6 @@ def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
                     seed=seed,
                     reach_pairs=100 if quick else 1000,
                     delivery_pairs=15 if quick else 50,
-                    workers=args.workers,
                 )
             ),
             "\n",

@@ -7,8 +7,7 @@ quantifies what that choice buys.
 
 All sweeps run their delivery trials through a
 :class:`~repro.experiments.parallel.TrialRunner` with one
-deterministic seed per trial, so a sweep parallelised over workers
-returns exactly the serial result.
+deterministic seed per trial.
 """
 
 from __future__ import annotations
@@ -163,7 +162,6 @@ def membership_trial(
 
     Returns ``(building_delivered, building_tx, position_delivered,
     position_tx)``, or None when the pair is unreachable or unroutable.
-    Module-level so :class:`TrialRunner` can ship it to workers.
     """
     s, d = trial.src_building, trial.dst_building
     if not world.graph.buildings_reachable(s, d):
@@ -200,13 +198,11 @@ def compare_membership(
     world = build_world(city_name, seed=seed)
     rng = random.Random(seed + 5)
     pair_list = sample_building_pairs(world, pairs, rng)
-    if runner.workers == 1:
-        # Batched prewarm: one Dijkstra tree per distinct source; the
-        # per-pair router.plan() calls then hit the route cache.  (With
-        # workers, each process plans its own chunk instead.)
-        world.building_graph.plan_routes(pair_list)
+    # Batched prewarm: one Dijkstra tree per distinct source; the
+    # per-pair router.plan() calls then hit the route cache.
+    world.building_graph.plan_routes(pair_list)
     trials = delivery_trials(pair_list, base_seed=seed + 5)
-    results = runner.map(membership_trial, trials, spec=world.spec, world=world)
+    results = runner.map(membership_trial, trials, world=world)
     b_delivered = p_delivered = attempted = 0
     b_tx: list[float] = []
     p_tx: list[float] = []

@@ -16,7 +16,7 @@ from functools import partial
 from ..analysis import format_table
 from ..buildgraph import NoRouteError
 from ..sim import ConduitPolicy, SimParams, poisson_workload, simulate_traffic
-from .common import World, WorldSpec
+from .common import World, build_world
 from .parallel import TrialRunner
 
 
@@ -42,8 +42,8 @@ def capacity_point(
     seed: int = 0,
     jitter_s: float = 0.05,
 ) -> CapacityPoint:
-    """Measure one offered-load level (self-contained per point, so
-    points can run on any worker in any order)."""
+    """Measure one offered-load level (self-contained per point: its
+    randomness comes from ``seed`` alone)."""
     ids = [b.id for b in world.city.buildings if world.graph.aps_in_building(b.id)]
 
     def make_policy(src: int, dst: int):
@@ -87,15 +87,14 @@ def run_capacity_sweep(
 ) -> list[CapacityPoint]:
     """Sweep offered load and measure the capacity curve.
 
-    Each rate point is an independent simulation; with a parallel
-    ``runner`` the points fan out over workers (rebuilding the world
-    from its spec per process) and come back in ``rates`` order.
+    Each rate point is an independent simulation on the same world;
+    the points come back in ``rates`` order.
     """
     runner = runner or TrialRunner()
     fn = partial(capacity_point, duration_s=duration_s, seed=seed, jitter_s=jitter_s)
     if world is None:
-        return runner.map(fn, list(rates), spec=WorldSpec(city_name, seed=seed))
-    return runner.map(fn, list(rates), spec=world.spec, world=world)
+        world = build_world(city_name, seed=seed)
+    return runner.map(fn, list(rates), world=world)
 
 
 def format_capacity(points: list[CapacityPoint]) -> str:

@@ -22,28 +22,21 @@ METRO_BUILDING_ID_SPACE = 100_000
 
 @dataclass
 class World:
-    """One fully built simulation world.
-
-    ``spec`` records the recipe the world was built from when it came
-    out of :func:`build_world`; parallel trial runners ship the spec to
-    worker processes (worlds are expensive and full of cross-linked
-    geometry — rebuilding from the spec is cheaper and deterministic).
-    """
+    """One fully built simulation world."""
 
     city: City
     graph: APGraph
     building_graph: BuildingGraph
     router: BuildingRouter
-    spec: "WorldSpec | None" = None
 
 
 @dataclass(frozen=True)
 class WorldSpec:
     """Everything needed to rebuild a preset-city world, hashably.
 
-    The spec is the unit of identity for per-worker world caches: two
-    equal specs build bit-identical worlds (all construction randomness
-    flows from ``seed``).
+    Two equal specs build bit-identical worlds (all construction
+    randomness flows from ``seed``), so a scenario names its world by
+    spec instead of carrying one.
     """
 
     city_name: str
@@ -57,7 +50,7 @@ class WorldSpec:
 
     def build(self) -> World:
         """Materialise the world this spec describes."""
-        world = build_world_from_city(
+        return build_world_from_city(
             make_city(self.city_name, seed=self.seed),
             seed=self.seed,
             transmission_range=self.transmission_range,
@@ -67,8 +60,6 @@ class WorldSpec:
             metro_id_space=self.metro_id_space,
             hierarchy=self.hierarchy,
         )
-        world.spec = self
-        return world
 
 
 def build_world(

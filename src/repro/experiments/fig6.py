@@ -49,9 +49,8 @@ def run_fig6_city(
 ) -> Fig6Row:
     """Evaluate one city: reachability sweep then event-sim deliveries.
 
-    Deliveries run through ``runner`` (in-process by default) with one
-    deterministic seed per trial, so the row is identical for any
-    worker count.
+    Deliveries run through ``runner`` with one deterministic seed per
+    trial.
     """
     rng = random.Random(seed + 1)
     pairs = sample_building_pairs(world, reach_pairs, rng)
@@ -87,27 +86,17 @@ def run_fig6(
     cities: list[str] | None = None,
     reach_pairs: int = 1000,
     delivery_pairs: int = 50,
-    workers: int = 1,
 ) -> list[Fig6Row]:
-    """Regenerate Figure 6 across the city presets.
-
-    ``workers`` > 1 fans the per-city delivery simulations out over
-    processes; results are identical to the serial run.
-    """
-    rows = []
-    with TrialRunner(workers=workers) as runner:
-        for name in cities if cities is not None else preset_names():
-            world = build_world(name, seed=seed)
-            rows.append(
-                run_fig6_city(
-                    world,
-                    seed=seed,
-                    reach_pairs=reach_pairs,
-                    delivery_pairs=delivery_pairs,
-                    runner=runner,
-                )
-            )
-    return rows
+    """Regenerate Figure 6 across the city presets."""
+    return [
+        run_fig6_city(
+            build_world(name, seed=seed),
+            seed=seed,
+            reach_pairs=reach_pairs,
+            delivery_pairs=delivery_pairs,
+        )
+        for name in (cities if cities is not None else preset_names())
+    ]
 
 
 def format_fig6(rows: list[Fig6Row]) -> str:

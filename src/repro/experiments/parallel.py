@@ -1,32 +1,25 @@
-"""Parallel trial harness for the experiment sweeps.
+"""The trial harness for the experiment sweeps.
 
 Every paper artifact is a sweep of independent trials: hundreds of
 :func:`~repro.experiments.common.attempt_delivery` runs, one per
-sampled building pair.  :class:`TrialRunner` fans those trials out over
-``multiprocessing`` workers while keeping the output **independent of
-the worker count**:
+sampled building pair.  :class:`TrialRunner` runs them in-process, in
+submission order, against one prebuilt world:
 
 - trials are seeded individually via :func:`seed_for` (a stable
   keyed hash of ``(base_seed, trial_index)``) instead of sharing one
   sequential RNG, so a trial's randomness does not depend on which
-  worker runs it or in which order;
-- worlds never cross the process boundary — workers rebuild them from
-  a hashable :class:`~repro.experiments.common.WorldSpec` (cheap and
-  deterministic) and cache them per process, primed by the pool
-  initializer;
-- submission is chunked, and chunk results are merged back in
-  submission order.
+  trials ran before it;
+- a trial that raises surfaces as a :class:`TrialError` naming its
+  index in the batch, with the traceback.
 
-``workers=1`` (the default) runs everything in-process — no pool, no
-pickling — which is the mode to debug under.  Timing and throughput
-counters are exposed via :meth:`TrialRunner.stats`.
+There is no process pool: on a 2-CPU host two workers lost wall time on
+most sweeps (EXPERIMENTS.md, "Prove or remove ``TrialRunner``"), so
+``workers`` accepts only ``1``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 import random
 import time
 import traceback
@@ -36,14 +29,12 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..obs import REGISTRY
 from ..sim import SimParams
-from .common import DeliveryResult, World, WorldSpec, attempt_delivery
+from .common import DeliveryResult, World, attempt_delivery
 
 _M_RUNS = REGISTRY.counter("trial_runner.runs")
 _M_TRIALS = REGISTRY.counter("trial_runner.trials")
 _M_RUN_S = REGISTRY.timer("trial_runner.run_s")
 _M_TRIAL_S = REGISTRY.timer("trial_runner.trial_s")
-_M_WORLD_HITS = REGISTRY.counter("trial_runner.world_cache_hits")
-_M_WORLD_MISSES = REGISTRY.counter("trial_runner.world_cache_misses")
 
 
 def seed_for(base_seed: int, trial_index: int, stream: str = "") -> int:
@@ -68,35 +59,22 @@ def seed_for(base_seed: int, trial_index: int, stream: str = "") -> int:
 
 
 class TrialError(RuntimeError):
-    """One trial raised inside the runner (in-process or in a worker).
+    """One trial raised inside the runner.
 
     Carries the failing trial's index into the submitted batch and the
-    full traceback formatted where the exception actually happened —
-    so a crash inside a worker process surfaces with the worker's
-    stack, not a bare ``Pool.map`` re-raise.  The runner never drops or
-    reorders a chunk around a failure: every prior trial's result was
-    still computed, and the *first* failing trial (in submission order)
-    is the one reported.
+    full traceback formatted where the exception happened; the original
+    exception is chained as ``__cause__``.
     """
 
     def __init__(self, trial_index: int, error: str, worker_traceback: str):
         super().__init__(
             f"trial {trial_index} raised {error}\n"
-            f"--- traceback (from the executing process) ---\n"
+            f"--- traceback ---\n"
             f"{worker_traceback.rstrip()}"
         )
         self.trial_index = trial_index
         self.error = error
         self.worker_traceback = worker_traceback
-
-
-@dataclass(frozen=True)
-class _TrialFailure:
-    """Worker-side marker for one failed trial (pickled back verbatim)."""
-
-    trial_index: int
-    error: str
-    worker_traceback: str
 
 
 @dataclass(frozen=True)
@@ -131,141 +109,22 @@ def delivery_trial(
     )
 
 
-# ----------------------------------------------------------------------
-# Worker-side plumbing (module level: everything here must pickle by
-# reference under both fork and spawn start methods).
-# ----------------------------------------------------------------------
-_WORKER_WORLDS: dict[WorldSpec, World] = {}
-
-#: Cumulative world-cache traffic in *this* process.  Workers carry
-#: their own copy (module state does not cross the fork/spawn boundary
-#: after divergence); ``_run_chunk`` snapshots it back to the parent,
-#: which diffs per-pid snapshots into :meth:`TrialRunner.stats`.
-_WORKER_CACHE_COUNTS = {"hits": 0, "misses": 0}
-
-
-def _worker_init(spec: WorldSpec | None) -> None:
-    """Pool initializer: prime this worker's world cache once."""
-    if spec is not None and spec not in _WORKER_WORLDS:
-        _WORKER_CACHE_COUNTS["misses"] += 1
-        _WORKER_WORLDS[spec] = spec.build()
-
-
-def _worker_world(spec: WorldSpec) -> World:
-    world = _WORKER_WORLDS.get(spec)
-    if world is None:
-        _WORKER_CACHE_COUNTS["misses"] += 1
-        world = spec.build()
-        _WORKER_WORLDS[spec] = world
-    else:
-        _WORKER_CACHE_COUNTS["hits"] += 1
-    return world
-
-
-def _run_chunk(
-    payload: tuple[Callable[..., Any], WorldSpec | None, int, list[Any]]
-) -> tuple[list[Any], list[float], tuple[int, int, int]]:
-    """Run one chunk of trials against this worker's cached world.
-
-    Returns the chunk's results, per-trial wall timings (merged by
-    the parent in submission order, so the merged timing stream is
-    deterministic whatever worker ran the chunk), and a cumulative
-    ``(pid, cache_hits, cache_misses)`` snapshot of this worker's world
-    cache for the parent's stats merge.  A trial that raises
-    becomes an in-band :class:`_TrialFailure` carrying the worker's
-    traceback and the trial's absolute index (``base`` + offset); the
-    rest of the chunk still runs, and the parent raises on the first
-    failure in submission order.
-    """
-    fn, spec, base, chunk = payload
-    world = _worker_world(spec) if spec is not None else None
-    results: list[Any] = []
-    timings: list[float] = []
-    for offset, item in enumerate(chunk):
-        t0 = time.perf_counter()
-        try:
-            result = fn(item) if world is None else fn(world, item)
-        except Exception as exc:
-            result = _TrialFailure(
-                trial_index=base + offset,
-                error=repr(exc),
-                worker_traceback=traceback.format_exc(),
-            )
-        timings.append(time.perf_counter() - t0)
-        results.append(result)
-    snapshot = (
-        os.getpid(),
-        _WORKER_CACHE_COUNTS["hits"],
-        _WORKER_CACHE_COUNTS["misses"],
-    )
-    return results, timings, snapshot
-
-
 class TrialRunner:
-    """Fan independent experiment trials out over worker processes.
+    """Run independent experiment trials in-process, in order.
 
     Args:
-        workers: process count; ``1`` runs in-process (no pool).
-        chunk_size: trials per submitted chunk; default balances ~4
-            chunks per worker.
-        start_method: ``multiprocessing`` start method override (the
-            platform default — fork on Linux — is used when None).
+        workers: kept for the callers that name it; only ``1`` is
+            accepted.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ):
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self._start_method = start_method
-        self._pool = None
-        self._local_worlds: dict[WorldSpec, World] = {}
-        # Per-process world-build ledger: pid -> builds.  Worker pids
-        # come from chunk snapshots; the serial path books under the
-        # parent's own pid.
-        self._worker_builds: dict[int, int] = {}
-        self._worker_cache_seen: dict[int, tuple[int, int]] = {}
-        self._stats: dict[str, float] = {
-            "runs": 0,
-            "trials": 0,
-            "chunks": 0,
-            "total_s": 0.0,
-            "serial_runs": 0,
-            "parallel_runs": 0,
-            "last_run_s": 0.0,
-            "last_trials": 0,
-            "last_trials_per_s": 0.0,
-            "world_cache_hits": 0,
-            "world_cache_misses": 0,
-        }
+    def __init__(self, workers: int = 1):
+        if workers != 1:
+            raise ValueError(
+                f"trials run in-process: workers must be 1, got {workers}"
+            )
 
-    def _note_world_cache(self, pid: int, hits: int, misses: int) -> None:
-        """Book world-cache traffic (and builds, == misses) for one pid."""
-        if not hits and not misses:
-            return
-        self._stats["world_cache_hits"] += hits
-        self._stats["world_cache_misses"] += misses
-        if misses:
-            self._worker_builds[pid] = self._worker_builds.get(pid, 0) + misses
-        _M_WORLD_HITS.inc(hits)
-        _M_WORLD_MISSES.inc(misses)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Nothing to release; kept so callers can own a runner."""
 
     def __enter__(self) -> "TrialRunner":
         return self
@@ -273,77 +132,20 @@ class TrialRunner:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _ensure_pool(self, spec: WorldSpec | None):
-        if self._pool is None:
-            ctx = (
-                multiprocessing.get_context(self._start_method)
-                if self._start_method
-                else multiprocessing.get_context()
-            )
-            self._pool = ctx.Pool(
-                processes=self.workers,
-                initializer=_worker_init,
-                initargs=(spec,),
-            )
-        return self._pool
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def map(
         self,
         fn: Callable[..., Any],
         items: Sequence[Any],
-        spec: WorldSpec | None = None,
         world: World | None = None,
     ) -> list[Any]:
-        """Ordered parallel map over independent trial items.
+        """Ordered map over independent trial items.
 
-        ``fn`` must be a module-level callable (or ``functools.partial``
-        of one).  With a ``spec`` (or a ``world`` carrying one), each
-        call receives ``fn(world, item)`` against the per-process cached
-        world; otherwise ``fn(item)``.  Results always come back in
-        ``items`` order, whatever the worker count.
+        With a ``world`` each call is ``fn(world, item)``, otherwise
+        ``fn(item)``.  The first trial that raises stops the run with a
+        :class:`TrialError` carrying its index.
         """
         items = list(items)
-        if spec is None and world is not None:
-            spec = world.spec
         started = time.perf_counter()
-        if self.workers == 1 or len(items) <= 1:
-            results = self._map_serial(fn, items, spec, world)
-            mode = "serial_runs"
-        else:
-            results = self._map_parallel(fn, items, spec, world)
-            mode = "parallel_runs"
-        elapsed = time.perf_counter() - started
-        s = self._stats
-        s["runs"] += 1
-        s[mode] += 1
-        s["trials"] += len(items)
-        s["total_s"] += elapsed
-        s["last_run_s"] = elapsed
-        s["last_trials"] = len(items)
-        s["last_trials_per_s"] = len(items) / elapsed if elapsed > 0 else 0.0
-        _M_RUNS.inc()
-        _M_TRIALS.inc(len(items))
-        _M_RUN_S.observe(elapsed)
-        return results
-
-    def _map_serial(
-        self,
-        fn: Callable[..., Any],
-        items: list[Any],
-        spec: WorldSpec | None,
-        world: World | None,
-    ) -> list[Any]:
-        if spec is not None and world is None:
-            world = self._local_worlds.get(spec)
-            if world is None:
-                self._note_world_cache(os.getpid(), hits=0, misses=1)
-                world = spec.build()
-                self._local_worlds[spec] = world
-            else:
-                self._note_world_cache(os.getpid(), hits=1, misses=0)
         results: list[Any] = []
         for index, item in enumerate(items):
             t0 = time.perf_counter()
@@ -357,66 +159,14 @@ class TrialRunner:
                 ) from exc
             finally:
                 _M_TRIAL_S.observe(time.perf_counter() - t0)
-        return results
-
-    def _map_parallel(
-        self,
-        fn: Callable[..., Any],
-        items: list[Any],
-        spec: WorldSpec | None,
-        world: World | None,
-    ) -> list[Any]:
-        if world is not None and spec is None:
-            raise ValueError(
-                "parallel runs need a WorldSpec to rebuild worlds in "
-                "workers; this World was not built from one (use "
-                "build_world/WorldSpec.build, or workers=1)"
-            )
-        chunk = self.chunk_size or max(
-            1, -(-len(items) // (self.workers * 4))
-        )
-        payloads = [
-            (fn, spec, i, items[i : i + chunk])
-            for i in range(0, len(items), chunk)
-        ]
-        self._stats["chunks"] += len(payloads)
-        pool = self._ensure_pool(spec)
-        # Pool.map preserves submission order, so the merged output is
-        # independent of which worker ran which chunk — and so is the
-        # merged per-trial timing stream fed to the registry below.
-        chunked = pool.map(_run_chunk, payloads, chunksize=1)
-        results: list[Any] = []
-        failure: _TrialFailure | None = None
-        # Snapshots are cumulative per worker; keep the max seen per pid
-        # this run, then diff against the last run's high-water mark.
-        snapshots: dict[int, tuple[int, int]] = {}
-        for chunk_results, chunk_timings, (pid, hits, misses) in chunked:
-            results.extend(chunk_results)
-            for dt in chunk_timings:
-                _M_TRIAL_S.observe(dt)
-            prev = snapshots.get(pid, (0, 0))
-            snapshots[pid] = (max(prev[0], hits), max(prev[1], misses))
-        for pid, (hits, misses) in snapshots.items():
-            seen_h, seen_m = self._worker_cache_seen.get(pid, (0, 0))
-            self._note_world_cache(
-                pid, hits=max(0, hits - seen_h), misses=max(0, misses - seen_m)
-            )
-            self._worker_cache_seen[pid] = (max(seen_h, hits), max(seen_m, misses))
-        for result in results:
-            if isinstance(result, _TrialFailure):
-                failure = result
-                break
-        if failure is not None:
-            raise TrialError(
-                trial_index=failure.trial_index,
-                error=failure.error,
-                worker_traceback=failure.worker_traceback,
-            )
+        _M_RUNS.inc()
+        _M_TRIALS.inc(len(items))
+        _M_RUN_S.observe(time.perf_counter() - started)
         return results
 
     def run_deliveries(
         self,
-        world: World | WorldSpec,
+        world: World,
         trials: Sequence[DeliveryTrial],
         params: SimParams | None = None,
     ) -> list[DeliveryResult]:
@@ -424,33 +174,4 @@ class TrialRunner:
         fn: Callable[..., Any] = delivery_trial
         if params is not None:
             fn = partial(delivery_trial, params=params)
-        if isinstance(world, WorldSpec):
-            return self.map(fn, trials, spec=world)
-        return self.map(fn, trials, spec=world.spec, world=world)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, float]:
-        """Timing/throughput counters (cumulative plus last-run).
-
-        World-cache fields quantify the persistent per-worker cache:
-        ``world_cache_hits`` / ``world_cache_misses`` are cache lookups
-        across the parent and every worker (a miss builds a world, so
-        ``world_builds == world_cache_misses``), ``workers_built`` is
-        how many distinct processes built at least one world, and
-        ``world_builds_max_per_worker`` bounds any single process's
-        build bill — the healthy steady state is one build per worker
-        per distinct :class:`WorldSpec`.
-        """
-        s = dict(self._stats)
-        s["workers"] = self.workers
-        s["trials_per_s"] = (
-            s["trials"] / s["total_s"] if s["total_s"] > 0 else 0.0
-        )
-        s["world_builds"] = s["world_cache_misses"]
-        s["workers_built"] = len(self._worker_builds)
-        s["world_builds_max_per_worker"] = (
-            max(self._worker_builds.values()) if self._worker_builds else 0
-        )
-        return s
+        return self.map(fn, trials, world=world)

@@ -104,8 +104,7 @@ def run_scaling(
     """The §5 scaling table across network sizes.
 
     Each size is independent, so the rows run through the shared trial
-    runner (in-process by default; rows return in ``sizes`` order for
-    any worker count).
+    runner and return in ``sizes`` order.
     """
     return (runner or TrialRunner()).map(control_load, list(sizes))
 

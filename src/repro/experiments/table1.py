@@ -34,9 +34,7 @@ def run_table1(
 ) -> list[Table1Row]:
     """Regenerate Table 1 (running the full study unless given data).
 
-    The four area surveys are independent; a parallel ``runner`` fans
-    them out over workers with identical (worker-count-invariant)
-    results.
+    The four area surveys are independent trials of ``runner``.
     """
     if datasets is None:
         datasets = run_study(seed=seed, runner=runner)

@@ -125,14 +125,14 @@ def area_specs(seed: int = 0) -> list[AreaSpec]:
 
 def _area_seed(seed: int, name: str) -> int:
     """Stable per-area RNG seed (``hash()`` is randomised per process,
-    which would make parallel surveys worker-dependent)."""
+    which would make the surveys differ from run to run)."""
     digest = hashlib.blake2b(f"{seed}:{name}".encode(), digest_size=4).digest()
     return int.from_bytes(digest, "big")
 
 
 def survey_area(seed: int, name: str) -> ScanDataset:
     """Run one area's survey, self-contained and deterministically
-    seeded — the unit of work a parallel study fans out."""
+    seeded — one trial of the study."""
     spec = _AREA_BUILDERS[name](seed)
     rng = random.Random(_area_seed(seed, name))
     aps = place_aps(spec.city, density=spec.ap_density, rng=rng)
@@ -147,7 +147,7 @@ def survey_area(seed: int, name: str) -> ScanDataset:
 
 
 def _survey_task(task: tuple[int, str]) -> ScanDataset:
-    """Picklable single-argument wrapper for TrialRunner.map."""
+    """Single-argument wrapper for TrialRunner.map."""
     return survey_area(*task)
 
 
@@ -155,8 +155,8 @@ def run_study(seed: int = 0, runner=None) -> list[ScanDataset]:
     """Run the full four-area measurement study.
 
     ``runner`` (a :class:`repro.experiments.parallel.TrialRunner`)
-    fans the four independent area surveys out over workers; the
-    datasets come back in Table 1 order regardless of worker count.
+    runs the four independent area surveys as trials; the datasets
+    come back in Table 1 order.
     """
     tasks = [(seed, name) for name in AREA_NAMES]
     if runner is None:

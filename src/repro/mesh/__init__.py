@@ -1,6 +1,6 @@
 """AP placement, the unit-disk AP mesh, and island/bridge analysis."""
 
-from .critical import articulation_points, bridge_links, criticality_report
+from .critical import articulation_points, bridge_links
 from .graph import DEFAULT_TRANSMISSION_RANGE, APGraph
 from .islands import (
     BridgePlan,
@@ -43,7 +43,6 @@ __all__ = [
     "bridge_links",
     "bridge_all_islands",
     "closest_gap",
-    "criticality_report",
     "find_islands",
     "longevity_curve",
     "place_aps",

@@ -105,21 +105,3 @@ def bridge_links(graph: APGraph) -> set[tuple[int, int]]:
                     bridges.add((min(parent_node, node), max(parent_node, node)))
     return bridges
 
-
-def criticality_report(graph: APGraph) -> dict[str, float]:
-    """Summary statistics of how fragile the mesh is.
-
-    Returns a dict with ``articulation_count``, ``articulation_fraction``,
-    ``bridge_count``, and ``largest_component_fraction``.
-    """
-    points = articulation_points(graph)
-    bridges = bridge_links(graph)
-    comps = graph.components()
-    return {
-        "articulation_count": float(len(points)),
-        "articulation_fraction": len(points) / len(graph.aps) if graph.aps else 0.0,
-        "bridge_count": float(len(bridges)),
-        "largest_component_fraction": (
-            len(comps[0]) / len(graph.aps) if graph.aps else 0.0
-        ),
-    }

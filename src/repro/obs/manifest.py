@@ -14,9 +14,8 @@ Usage::
     record["manifest"] = manifest.finish().to_dict()
 
 The manifest is deliberately the only non-deterministic block in any
-result JSON: everything outside it stays byte-identical across runs and
-worker counts, and consumers treat ``manifest`` as metadata, never as
-a metric.
+result JSON: everything outside it stays byte-identical across runs,
+and consumers treat ``manifest`` as metadata, never as a metric.
 """
 
 from __future__ import annotations

@@ -15,10 +15,8 @@ processes doing the same work serialize byte-identical JSON (timer
 *values* are wall-clock and therefore vary; the schema and key order
 never do).
 
-Worker processes each hold their own registry; cross-process merging is
-the caller's job (:class:`repro.experiments.TrialRunner` merges its
-per-trial timings back in submission order, which keeps the merged
-stream deterministic whatever the worker count).
+Each process holds its own registry; nothing merges registries across
+processes.
 """
 
 from __future__ import annotations
@@ -176,5 +174,5 @@ REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide registry (one per process, workers included)."""
+    """The process-wide registry (one per process)."""
     return REGISTRY

@@ -8,12 +8,7 @@ engine re-derives the alive mesh, patches the routing map, replans
 broken flows, and scores end-to-end delivery.
 """
 
-from .driver import (
-    ScenarioDriver,
-    ScenarioFlowTrial,
-    extended_graph,
-    run_scenario,
-)
+from .driver import ScenarioDriver, ScenarioFlowTrial, run_scenario
 from .events import (
     APChurn,
     Damage,
@@ -54,7 +49,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "check_invariants",
-    "extended_graph",
     "format_scenario",
     "fuzz_specs",
     "generate_scenario",

@@ -17,13 +17,12 @@ BuildingGraph.patch` call (exactly one version bump per mutating
    and actual delivery via the broadcast simulator — into an
    :class:`~repro.scenario.model.EpochReport`.
 
-The timeline itself is stepped serially (graph surgery is cheap); the
-per-flow broadcast simulations are fanned out through a
-:class:`~repro.experiments.TrialRunner`, and every trial carries its
-own :func:`~repro.experiments.seed_for` seed plus enough frozen state
-(dead set, deployed-AP tuple, waypoints) for a worker process to
-reproduce it bit for bit.  Results are therefore invariant under the
-worker count.
+Everything runs in one process, epoch by epoch.  An epoch's flows go
+to the :class:`~repro.experiments.TrialRunner` as one
+:class:`ScenarioEpochBatch`: the epoch's mesh (the world's mesh plus
+every bridge AP deployed so far), its dead set, and per flow the
+waypoints and its own :func:`~repro.experiments.seed_for` seed, so a
+flow's result does not depend on the flows beside it.
 """
 
 from __future__ import annotations
@@ -61,20 +60,12 @@ from ..sim import (
 from .events import APChurn, Damage, DeployBridges, GridOutage, PowerRestored
 from .model import EpochReport, ScenarioResult, ScenarioSpec
 
-# One deployed AP, flattened to primitives so trials stay hashable and
-# cheap to pickle: (ap_id, x, y, building_id).
-DeployedAP = tuple[int, float, float, int]
-
-
 @dataclass(frozen=True)
 class ScenarioFlowTrial:
-    """One flow's broadcast simulation at one epoch, fully frozen.
+    """One flow's broadcast simulation at one epoch.
 
-    Carries everything a worker needs to replay the simulation without
-    the driver's mutable state: the waypoints (conduits are rebuilt
-    from the shared map, exactly as a real AP would), the epoch's dead
-    set, and the cumulative deployed-AP tuple (workers extend their
-    cached base mesh once per distinct tuple).
+    The waypoints are the flow's compressed route header; conduits are
+    rebuilt from the shared map, exactly as a real AP would.
     """
 
     src_building: int
@@ -82,64 +73,18 @@ class ScenarioFlowTrial:
     source_ap: int
     waypoint_ids: tuple[int, ...]
     conduit_width: float
-    dead_aps: frozenset[int]
-    deployed: tuple[DeployedAP, ...]
     seed: int
-
-
-# Extended meshes are memoised per (world identity, deployed tuple):
-# a scenario deploys bridges at most a handful of times, and every
-# trial after a deployment reuses the same extended graph.
-_EXTENDED: dict[tuple[object, tuple[DeployedAP, ...]], APGraph] = {}
-
-
-def extended_graph(world: World, deployed: tuple[DeployedAP, ...]) -> APGraph:
-    """The world's mesh with the deployed bridge APs appended.
-
-    Deployed ids continue the base mesh's contiguous ids, so dead sets
-    and trial source APs index identically in the driver and in every
-    worker process.
-
-    Extension is incremental: the longest memoised prefix of
-    ``deployed`` (or the base mesh) grows via
-    :meth:`~repro.mesh.APGraph.with_added_aps`, which patches only the
-    affected adjacency lists — byte-identical to a full rebuild,
-    including neighbour order, without the O(n·degree) scan per
-    deployment.
-    """
-    if not deployed:
-        return world.graph
-    ident = world.spec if world.spec is not None else id(world)
-    key = (ident, deployed)
-    graph = _EXTENDED.get(key)
-    if graph is None:
-        if len(_EXTENDED) > 8:  # scenarios deploy rarely; keep this tiny
-            _EXTENDED.clear()
-        base = world.graph
-        start = 0
-        for cut in range(len(deployed) - 1, 0, -1):
-            prefix = _EXTENDED.get((ident, deployed[:cut]))
-            if prefix is not None:
-                base = prefix
-                start = cut
-                break
-        new_aps = [
-            AccessPoint(id=ap_id, position=Point(x, y), building_id=building_id)
-            for ap_id, x, y, building_id in deployed[start:]
-        ]
-        graph = base.with_added_aps(new_aps)
-        _EXTENDED[key] = graph
-    return graph
 
 
 @dataclass(frozen=True)
 class ScenarioEpochBatch:
-    """All of one epoch's flow trials, frozen as a single work item.
+    """All of one epoch's flow trials, run as a single work item.
 
-    Every trial of an epoch shares the dead set and deployed tuple, so
-    shipping them together lets the executor freeze the world (CSR
-    adjacency, dead mask, conduit verdict bitmaps) exactly once per
-    epoch instead of once per flow.
+    Every trial of an epoch shares the mesh and the dead set, so
+    running them together freezes the world (CSR adjacency, dead mask,
+    conduit verdict bitmaps) exactly once per epoch instead of once per
+    flow.  ``graph`` is the driver's mesh at this epoch: the world's
+    mesh extended with every bridge AP deployed so far.
 
     When ``congestion_window_s`` is set the epoch's flows share the
     air: every trial is injected within that many seconds (its start
@@ -150,6 +95,8 @@ class ScenarioEpochBatch:
     byte-identical to the pre-congestion driver.
     """
 
+    graph: APGraph
+    dead_aps: frozenset[int]
     trials: tuple[ScenarioFlowTrial, ...]
     congestion_window_s: float | None = None
     congestion_frame_s: float | None = None
@@ -164,16 +111,12 @@ def scenario_epoch_batch(
     Per-flow results are byte-identical to one
     :func:`~repro.sim.simulate_broadcast` call per trial — the batch
     only shares frozen state, never RNG streams (each trial still seeds
-    its own generator).  Module-level so
-    :class:`~repro.experiments.TrialRunner` can ship it to worker
-    processes by reference.  With a
-    congestion window set, flows instead contend for the shared
-    channel (see :class:`ScenarioEpochBatch`).
+    its own generator).  With a congestion window set, flows instead
+    contend for the shared channel (see :class:`ScenarioEpochBatch`).
     """
     if not batch.trials:
         return []
-    first = batch.trials[0]
-    graph = extended_graph(world, first.deployed)
+    graph = batch.graph
     flows = []
     for trial in batch.trials:
         centroids = [
@@ -208,10 +151,10 @@ def scenario_epoch_batch(
             start_times,
             random.Random(batch.congestion_seed),
             frame_time_s=frame,
-            dead_aps=first.dead_aps,
+            dead_aps=batch.dead_aps,
         )
         return [(o.delivered, o.transmissions) for o in outcomes]
-    results = simulate_broadcast_batch(graph, flows, dead_aps=first.dead_aps)
+    results = simulate_broadcast_batch(graph, flows, dead_aps=batch.dead_aps)
     return [(r.delivered, r.transmissions) for r in results]
 
 
@@ -220,13 +163,11 @@ class ScenarioDriver:
 
     Args:
         spec: the timeline to run.
-        runner: trial runner for the per-flow broadcast fan-out; a
-            serial one is created (and owned) when omitted.
+        runner: trial runner for the per-epoch broadcast batch; one is
+            created (and owned) when omitted.
         world: a prebuilt world to drive instead of building
             ``spec.world`` — for worlds with no preset (benchmarks,
-            OSM imports).  A world without a ``spec`` of its own
-            restricts the run to a serial runner (workers cannot
-            rebuild it); ``spec.world`` then only labels seeds.
+            OSM imports); ``spec.world`` then only labels seeds.
     """
 
     def __init__(
@@ -243,7 +184,7 @@ class ScenarioDriver:
         stream = spec.stream()
         self._flow_stream = stream + ":flow"
         # Construction randomness: every stream is keyed off the spec,
-        # never off a shared sequential RNG, for worker invariance.
+        # never off a shared sequential RNG.
         self.profiles: dict[int, PowerProfile] = assign_power_profiles(
             self.world.graph.aps,
             random.Random(seed_for(base_seed, 0, stream + ":power")),
@@ -276,7 +217,6 @@ class ScenarioDriver:
         )
         # Timeline state.
         self.graph: APGraph = self.world.graph  # extended at deploys
-        self.deployed: tuple[DeployedAP, ...] = ()
         self._destroyed: set[int] = set()
         self._churn_until: dict[int, int] = {}  # ap id -> recovery epoch
         self._outages: list[tuple[Polygon | None, int]] = []  # (region, epoch)
@@ -461,7 +401,7 @@ buildings_along` stretches each walk over the timeline and snaps every
         if len(islands) <= 1:
             return 0, []
         main = islands[0]
-        new_aps: list[DeployedAP] = []
+        new_aps: list[AccessPoint] = []
         links: list[tuple[int, int]] = []
         bg = self.world.building_graph
         next_id = len(self.graph.aps)
@@ -472,7 +412,9 @@ buildings_along` stretches each walk over the timeline and snaps every
             anchor = self.graph.aps[plan.from_ap].building_id
             far_anchor = self.graph.aps[plan.to_ap].building_id
             for pos in plan.new_positions:
-                new_aps.append((next_id, pos.x, pos.y, anchor))
+                new_aps.append(
+                    AccessPoint(id=next_id, position=pos, building_id=anchor)
+                )
                 next_id += 1
             if (
                 anchor != far_anchor
@@ -481,11 +423,13 @@ buildings_along` stretches each walk over the timeline and snaps every
             ):
                 links.append((anchor, far_anchor))
         if new_aps:
-            self.deployed = self.deployed + tuple(new_aps)
-            self.graph = extended_graph(self.world, self.deployed)
-            for ap_id, _x, _y, _b in new_aps:
+            # Deployed ids continue the mesh's contiguous ids; the
+            # extension patches only the affected adjacency lists and is
+            # byte-identical to a full rebuild, neighbour order included.
+            self.graph = self.graph.with_added_aps(new_aps)
+            for ap in new_aps:
                 # Operator-maintained: generator-backed, outage-proof.
-                self.profiles[ap_id] = PowerProfile(PowerSource.GENERATOR)
+                self.profiles[ap.id] = PowerProfile(PowerSource.GENERATOR)
         return len(new_aps), links
 
     # ------------------------------------------------------------------
@@ -662,8 +606,6 @@ buildings_along` stretches each walk over the timeline and snaps every
                     source_ap=src_alive[0],
                     waypoint_ids=plan.waypoint_ids,
                     conduit_width=spec.world.conduit_width,
-                    dead_aps=dead,
-                    deployed=self.deployed,
                     seed=seed,
                 )
             )
@@ -692,12 +634,12 @@ buildings_along` stretches each walk over the timeline and snaps every
                 ),
             )
 
-        # The world's own spec (== spec.world for built worlds) is what
-        # workers rebuild from; an injected spec-less world runs serial.
-        # The epoch's flows ship as ONE batch item so the executor
-        # freezes the world (CSR, dead mask, verdict bitmaps) once.
+        # The epoch's flows run as ONE batch item so the world is
+        # frozen (CSR, dead mask, verdict bitmaps) once.
         if spec.congestion is not None:
             batch = ScenarioEpochBatch(
+                graph=self.graph,
+                dead_aps=dead,
                 trials=tuple(trials),
                 congestion_window_s=spec.congestion.window_s,
                 congestion_frame_s=spec.congestion.frame_time_s,
@@ -706,15 +648,12 @@ buildings_along` stretches each walk over the timeline and snaps every
                 ),
             )
         else:
-            batch = ScenarioEpochBatch(trials=tuple(trials))
+            batch = ScenarioEpochBatch(
+                graph=self.graph, dead_aps=dead, trials=tuple(trials)
+            )
         with span("scenario.simulate", epoch=epoch, flows=len(trials)):
             outcomes = (
-                self._runner.map(
-                    scenario_epoch_batch,
-                    [batch],
-                    spec=self.world.spec,
-                    world=self.world,
-                )[0]
+                self._runner.map(scenario_epoch_batch, [batch], world=self.world)[0]
                 if trials
                 else []
             )
@@ -785,18 +724,8 @@ buildings_along` stretches each walk over the timeline and snaps every
 
 
 def run_scenario(
-    spec: ScenarioSpec,
-    workers: int = 1,
-    runner: TrialRunner | None = None,
+    spec: ScenarioSpec, runner: TrialRunner | None = None
 ) -> ScenarioResult:
-    """Convenience wrapper: drive a spec to its result.
-
-    ``workers`` builds (and tears down) a throwaway runner when no
-    ``runner`` is supplied; the result is invariant under either.
-    """
-    if runner is not None:
-        with ScenarioDriver(spec, runner=runner) as driver:
-            return driver.run()
-    with TrialRunner(workers=workers) as owned:
-        with ScenarioDriver(spec, runner=owned) as driver:
-            return driver.run()
+    """Convenience wrapper: drive a spec to its result."""
+    with ScenarioDriver(spec, runner=runner) as driver:
+        return driver.run()

@@ -88,7 +88,7 @@ class APChurn:
     Each active epoch, ``rate`` of the currently-eligible APs (in the
     mesh, not destroyed, not already down) drop out for ``down_epochs``
     epochs, then recover.  Draws come from a dedicated per-epoch seeded
-    stream, so timelines are reproducible and worker-count invariant.
+    stream, so timelines are reproducible.
     """
 
     epoch: int

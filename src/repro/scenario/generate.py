@@ -257,7 +257,7 @@ def generate_scenario(
     All randomness is keyed on ``(archetype, city, seed)`` via
     :func:`~repro.experiments.seed_for` streams, so equal arguments
     produce byte-identical specs (and therefore, through the driver,
-    byte-identical results whatever the worker count).  The geometry
+    byte-identical results).  The geometry
     comes from the actual city bounds — the same archetype transfers
     to any preset city.
 

@@ -2,14 +2,14 @@
 
 A :class:`ScenarioSpec` is a seeded, hashable recipe: a world (as a
 :class:`~repro.experiments.WorldSpec`), an epoch grid, and a tuple of
-fault events.  Equal specs replay bit-identical timelines whatever the
-worker count — all randomness flows through
-:func:`~repro.experiments.seed_for` keyed on the spec's stream label.
+fault events.  Equal specs replay bit-identical timelines — all
+randomness flows through :func:`~repro.experiments.seed_for` keyed on
+the spec's stream label.
 
 The driver emits one :class:`EpochReport` per epoch and aggregates them
 into a :class:`ScenarioResult`, which serializes to deterministic JSON
 (sorted keys) so results can be diffed, archived, and compared across
-worker counts byte for byte.
+runs byte for byte.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class ScenarioSpec:
 
     Attributes:
         name: scenario identity; folded into every RNG stream.
-        world: the world recipe (city, seed, densities) — workers
-            rebuild from this, never pickle the world itself.
+        world: the world recipe (city, seed, densities) the driver
+            builds.
         epochs: number of timeline steps.
         epoch_hours: wall-clock hours between consecutive epochs
             (drives battery depletion).
@@ -256,7 +256,7 @@ class ScenarioResult:
     equal results with different manifests — and it is the **only**
     non-deterministic block in the JSON: strip it (or compare with
     :meth:`to_json` ``manifest=False``) when asserting byte-identity
-    across runs or worker counts.
+    across runs.
     """
 
     name: str
@@ -311,9 +311,9 @@ class ScenarioResult:
 
     def to_json(self, indent: int | None = None, manifest: bool = True) -> str:
         """Sorted-keys JSON.  Everything outside the ``manifest`` block
-        is deterministic — byte-identical across runs and worker
-        counts; pass ``manifest=False`` for the fully deterministic
-        core (what invariance tests compare)."""
+        is deterministic — byte-identical across runs; pass
+        ``manifest=False`` for the fully deterministic core (what
+        replay tests compare)."""
         return json.dumps(
             self.to_dict(manifest=manifest), indent=indent, sort_keys=True
         )

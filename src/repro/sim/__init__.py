@@ -25,7 +25,7 @@ from .columnar import (
     frozen_epoch,
     simulate_broadcast_batch,
 )
-from .engine import Environment, Event, Process, SimulationError, Timeout, all_of
+from .engine import Environment, Event, Process, SimulationError, Timeout
 from .radio import (
     DEFAULT_JITTER_S,
     DEFAULT_TX_DELAY_S,
@@ -60,7 +60,6 @@ __all__ = [
     "TrafficMessage",
     "TrafficResult",
     "UnitDiskRadio",
-    "all_of",
     "poisson_workload",
     "simulate_broadcast",
     "simulate_broadcast_batch",

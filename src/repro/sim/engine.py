@@ -18,7 +18,7 @@ seeded simulation replays identically.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 _PENDING = object()
 
@@ -236,32 +236,3 @@ class Environment:
         self.now = target
         return None
 
-
-def all_of(env: Environment, events: Iterable[Event]) -> Event:
-    """An event that triggers when every input event has triggered."""
-    events = list(events)
-    done = env.event()
-    remaining = len(events)
-    if remaining == 0:
-        done.succeed([])
-        return done
-    values: list[Any] = [None] * remaining
-
-    def make_callback(i: int) -> Callable[[Event], None]:
-        def callback(ev: Event) -> None:
-            nonlocal remaining
-            if done.triggered:
-                return  # a failed input already decided the aggregate
-            if not ev.ok:
-                done.fail(ev.value)
-                return
-            values[i] = ev.value
-            remaining -= 1
-            if remaining == 0:
-                done.succeed(values)
-
-        return callback
-
-    for i, ev in enumerate(events):
-        ev.callbacks.append(make_callback(i))
-    return done

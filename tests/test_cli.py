@@ -133,6 +133,10 @@ class TestBadInput:
             ["serve", "--queue-limit", "0"],
             ["serve", "--port", "70000"],
             ["fig6", "--workers", "two"],
+            ["fig6", "--workers", "2"],
+            ["replicate", "--workers", "2"],
+            ["capacity", "--workers", "2"],
+            ["scenario", "fuzz", "--workers", "2"],
             ["obs", "show", "no-such-dir/missing.jsonl"],
             ["obs", "show", "."],
         ],

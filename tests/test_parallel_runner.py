@@ -1,19 +1,15 @@
-"""TrialRunner: determinism, worker-count invariance, and plumbing."""
+"""TrialRunner: per-trial seeding, ordered results, and trial errors."""
 
 import random
 
 import pytest
 
 from repro.experiments import (
-    DeliveryTrial,
     TrialError,
     TrialRunner,
     WorldSpec,
     build_world,
     delivery_trials,
-    run_capacity_sweep,
-    run_fig6_city,
-    run_scaling,
     sample_building_pairs,
     seed_for,
 )
@@ -21,7 +17,6 @@ from repro.experiments.scaling import control_load
 
 
 def _explode_on_negatives(x):
-    """Module-level so it pickles into worker processes."""
     if x < 0:
         raise ValueError(f"boom on {x}")
     return x * 2
@@ -61,112 +56,19 @@ class TestRunnerValidation:
         with pytest.raises(ValueError):
             TrialRunner(workers=0)
         with pytest.raises(ValueError):
-            TrialRunner(chunk_size=0)
-
-    def test_parallel_needs_a_spec(self, world):
-        bare = type(world)(
-            city=world.city,
-            graph=world.graph,
-            building_graph=world.building_graph,
-            router=world.router,
-        )
-        assert bare.spec is None
-        with TrialRunner(workers=2) as runner:
-            with pytest.raises(ValueError):
-                runner.run_deliveries(
-                    bare, [DeliveryTrial(1, 2, 3), DeliveryTrial(2, 1, 4)]
-                )
-
-
-class TestWorkerInvariance:
-    def test_results_invariant_to_worker_count(self, world, trials):
-        """The acceptance property: workers ∈ {1, 2, 4} give identical
-        ordered results."""
-        outcomes = {}
-        for workers in (1, 2, 4):
-            with TrialRunner(workers=workers) as runner:
-                outcomes[workers] = runner.run_deliveries(world, trials)
-        assert outcomes[1] == outcomes[2] == outcomes[4]
-
-    def test_chunk_size_does_not_change_results(self, world, trials):
-        with TrialRunner(workers=2, chunk_size=1) as fine:
-            fine_results = fine.run_deliveries(world, trials)
-        with TrialRunner(workers=2, chunk_size=len(trials)) as coarse:
-            coarse_results = coarse.run_deliveries(world, trials)
-        assert fine_results == coarse_results
-
-    def test_spec_only_matches_prebuilt_world(self, world, trials):
-        """Workers rebuild from the spec; the results must match runs
-        against the parent's world object."""
-        with TrialRunner(workers=1) as runner:
-            from_spec = runner.run_deliveries(world.spec, trials)
-            from_world = runner.run_deliveries(world, trials)
-        assert from_spec == from_world
+            TrialRunner(workers=2)
 
 
 class TestGenericMap:
     def test_map_without_spec(self):
-        with TrialRunner(workers=2) as runner:
+        with TrialRunner() as runner:
             rows = runner.map(control_load, [100, 1000, 10_000])
         assert [r.nodes for r in rows] == [100, 1000, 10_000]
-
-    def test_map_preserves_order_parallel(self):
-        sizes = [1000 * (i + 1) for i in range(9)]
-        serial = run_scaling(tuple(sizes))
-        with TrialRunner(workers=3) as runner:
-            parallel = run_scaling(tuple(sizes), runner=runner)
-        assert serial == parallel
-
-    def test_stats_counters(self, world, trials):
-        runner = TrialRunner()
-        runner.run_deliveries(world, trials)
-        s = runner.stats()
-        assert s["runs"] == 1
-        assert s["trials"] == len(trials)
-        assert s["serial_runs"] == 1
-        assert s["last_run_s"] > 0
-        assert s["trials_per_s"] > 0
-        assert s["workers"] == 1
-
-
-class TestWorldCacheStats:
-    def test_serial_builds_once_then_hits(self, world, trials):
-        with TrialRunner(workers=1) as runner:
-            runner.run_deliveries(world.spec, trials)
-            runner.run_deliveries(world.spec, trials)
-            s = runner.stats()
-        assert s["world_cache_misses"] == 1
-        assert s["world_builds"] == 1
-        assert s["world_cache_hits"] == 1
-        assert s["workers_built"] == 1
-        assert s["world_builds_max_per_worker"] == 1
-
-    def test_caller_world_bypasses_cache(self, world, trials):
-        with TrialRunner(workers=1) as runner:
-            runner.run_deliveries(world, trials)
-            s = runner.stats()
-        assert s["world_cache_hits"] == 0
-        assert s["world_cache_misses"] == 0
-
-    def test_parallel_builds_at_most_once_per_worker(self, world, trials):
-        with TrialRunner(workers=2, chunk_size=3) as runner:
-            runner.run_deliveries(world.spec, trials)
-            runner.run_deliveries(world.spec, trials)
-            s = runner.stats()
-        # Every chunk consulted the cache; only first touches built.
-        assert s["world_cache_misses"] <= 2
-        assert s["world_builds_max_per_worker"] <= 1
-        assert s["world_cache_hits"] >= 1
-        assert (
-            s["world_cache_hits"] + s["world_cache_misses"]
-            >= s["chunks"]
-        )
 
 
 class TestCrashingTrials:
     """A trial that raises must surface as TrialError with the failing
-    index and the traceback from the process that ran it — not vanish
-    into a bare Pool.map re-raise."""
+    index and the traceback."""
 
     ITEMS = [0, 1, -7, 3, -9, 5]
 
@@ -187,53 +89,19 @@ class TestCrashingTrials:
                 runner.map(_explode_on_negatives, [-1])
         assert isinstance(excinfo.value.__cause__, ValueError)
 
-    def test_parallel_crash_carries_index_and_traceback(self):
-        with TrialRunner(workers=2, chunk_size=2) as runner:
-            with pytest.raises(TrialError) as excinfo:
-                runner.map(_explode_on_negatives, self.ITEMS)
-        err = excinfo.value
-        # First failure in submission order, even with two crashers
-        # spread across chunks run by different workers.
-        assert err.trial_index == 2
-        assert "ValueError" in err.error
-        assert "boom on -7" in err.error
-        assert "_explode_on_negatives" in err.worker_traceback
-
-    def test_parallel_index_is_absolute_not_chunk_relative(self):
-        # One crasher in the last chunk: its index must be the position
-        # in the submitted batch, not its offset inside the chunk.
-        items = [1, 2, 3, 4, 5, -6]
-        with TrialRunner(workers=2, chunk_size=2) as runner:
-            with pytest.raises(TrialError) as excinfo:
-                runner.map(_explode_on_negatives, items)
-        assert excinfo.value.trial_index == 5
-
     def test_healthy_trials_unaffected(self):
-        with TrialRunner(workers=2, chunk_size=2) as runner:
+        with TrialRunner() as runner:
             results = runner.map(_explode_on_negatives, [1, 2, 3, 4])
         assert results == [2, 4, 6, 8]
 
 
 class TestExperimentIntegration:
-    def test_fig6_city_worker_invariant(self, world):
-        serial = run_fig6_city(world, seed=0, reach_pairs=40, delivery_pairs=6)
-        with TrialRunner(workers=2) as runner:
-            parallel = run_fig6_city(
-                world, seed=0, reach_pairs=40, delivery_pairs=6, runner=runner
-            )
-        assert serial == parallel
-
-    def test_capacity_worker_invariant(self, world):
-        kwargs = dict(rates=(0.5, 1.0), duration_s=4.0, seed=0, world=world)
-        serial = run_capacity_sweep(**kwargs)
-        with TrialRunner(workers=2) as runner:
-            parallel = run_capacity_sweep(runner=runner, **kwargs)
-        assert serial == parallel
-
     def test_world_spec_roundtrip(self):
         spec = WorldSpec("gridport", seed=0)
         rebuilt = spec.build()
         reference = build_world("gridport", seed=0)
-        assert len(rebuilt.graph) == len(reference.graph)
-        assert rebuilt.spec == reference.spec
-        assert hash(rebuilt.spec) == hash(reference.spec)
+        assert [ap.position for ap in rebuilt.graph.aps] == [
+            ap.position for ap in reference.graph.aps
+        ]
+        assert spec == WorldSpec("gridport", seed=0)
+        assert hash(spec) == hash(WorldSpec("gridport", seed=0))

@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.experiments import TrialRunner
 from repro.scenario import (
     ARCHETYPES,
     CongestionSpec,
@@ -54,16 +53,6 @@ class TestGeneratorDeterminism:
             ),
         ):
             assert spec_digest(variant) != spec_digest(base)
-
-    @pytest.mark.parametrize("archetype", ARCHETYPES)
-    def test_result_identical_across_worker_counts(self, archetype):
-        spec = generate_scenario(archetype, seed=5, flows=8)
-        serial = run_scenario(spec)
-        with TrialRunner(workers=2) as runner:
-            parallel = run_scenario(spec, runner=runner)
-        assert serial.to_json(manifest=False) == parallel.to_json(
-            manifest=False
-        )
 
     def test_fuzz_specs_deterministic(self):
         first = [spec_digest(s) for s in fuzz_specs(6, seed=2)]

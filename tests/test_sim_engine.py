@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, SimulationError, all_of
+from repro.sim import Environment, SimulationError
 
 
 class TestEventBasics:
@@ -250,64 +250,3 @@ class TestProcesses:
         env.run()
         assert log == [(1.0, "early")]
 
-
-class TestAllOf:
-    def test_waits_for_all(self):
-        env = Environment()
-        e1 = env.timeout(1.0, value="a")
-        e2 = env.timeout(3.0, value="b")
-        done = all_of(env, [e1, e2])
-        times = []
-
-        def proc():
-            values = yield done
-            times.append((env.now, values))
-
-        env.process(proc())
-        env.run()
-        assert times == [(3.0, ["a", "b"])]
-
-    def test_empty_triggers_immediately(self):
-        env = Environment()
-        done = all_of(env, [])
-        assert done.triggered
-
-    def test_failed_input_fails_the_aggregate(self):
-        """Regression: a failed input used to be recorded as a success
-        (its exception silently stored as the value)."""
-        env = Environment()
-        e1 = env.timeout(1.0, value="a")
-        e2 = env.event()
-        done = all_of(env, [e1, e2])
-        caught = []
-
-        def proc():
-            try:
-                yield done
-            except RuntimeError as exc:
-                caught.append((env.now, str(exc)))
-
-        env.process(proc())
-        e2.fail(RuntimeError("boom"))
-        env.run()
-        assert caught == [(0.0, "boom")]
-        assert not done.ok
-
-    def test_success_after_failure_is_ignored(self):
-        env = Environment()
-        failing = env.event()
-        late = env.timeout(5.0, value="late")
-        done = all_of(env, [failing, late])
-        outcomes = []
-
-        def proc():
-            try:
-                values = yield done
-                outcomes.append(("ok", values))
-            except ValueError:
-                outcomes.append(("failed", None))
-
-        env.process(proc())
-        failing.fail(ValueError("first"))
-        env.run()
-        assert outcomes == [("failed", None)]
