@@ -3,13 +3,14 @@
 §6 names wireless channel congestion as the effect a higher-fidelity
 simulation must add.  Under the overlap-collision model, rebroadcast
 jitter is what keeps conduit flooding alive: with zero jitter every AP
-of a building transmits in the same slot and jams its neighbours.
+of a building transmits in the same slot and jams its neighbours.  Each
+pair runs as one message through the shared-air traffic simulator.
 """
 
 import random
 
 from repro.experiments import sample_building_pairs
-from repro.sim import ConduitPolicy, SimParams, simulate_broadcast_with_collisions
+from repro.sim import ConduitPolicy, SimParams, TrafficMessage, simulate_traffic
 
 
 def run_jitter_sweep(world, jitters, pairs=10, seed=0):
@@ -28,15 +29,11 @@ def run_jitter_sweep(world, jitters, pairs=10, seed=0):
                 continue
             attempted += 1
             policy = ConduitPolicy(plan.conduits, world.city)
-            result = simulate_broadcast_with_collisions(
-                world.graph,
-                world.graph.aps_in_building(s)[0],
-                d,
-                policy,
-                sim_rng,
-                params=SimParams(jitter_s=jitter),
+            message = TrafficMessage(0, 0.0, world.graph.aps_in_building(s)[0], d, policy)
+            result = simulate_traffic(
+                world.graph, [message], sim_rng, params=SimParams(jitter_s=jitter)
             )
-            delivered += result.delivered
+            delivered += result.outcomes[0].delivered
             collision_rates.append(result.collision_rate)
         rows.append(
             (

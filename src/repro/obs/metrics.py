@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, and histogram timers.
+"""Metrics for the whole process: counters, gauges, and histogram timers.
 
 Zero dependencies, zero background threads, and deliberately boring:
 the registry is a flat name → instrument dict, instruments are plain

@@ -1,4 +1,4 @@
-"""Process-level service runner: build the world, serve until told to stop.
+"""The service runner for one process: build the world, serve until told to stop.
 
 This is what ``repro serve`` executes: construct the city map the
 directory rendezvouses over, assemble the :class:`ServiceApp`, bind the

@@ -1,6 +1,5 @@
 """Discrete-event simulation: engine, radio models, broadcast runs."""
 
-from .collisions import CollisionResult, simulate_broadcast_with_collisions
 from .traffic import (
     MessageOutcome,
     TrafficMessage,
@@ -25,7 +24,7 @@ from .columnar import (
     frozen_epoch,
     simulate_broadcast_batch,
 )
-from .engine import Environment, Event, Process, SimulationError, Timeout
+from .engine import Environment
 from .radio import (
     DEFAULT_JITTER_S,
     DEFAULT_TX_DELAY_S,
@@ -37,12 +36,10 @@ from .radio import (
 
 __all__ = [
     "BroadcastResult",
-    "CollisionResult",
     "ConduitPolicy",
     "DEFAULT_JITTER_S",
     "DEFAULT_TX_DELAY_S",
     "Environment",
-    "Event",
     "FadingDetection",
     "FloodPolicy",
     "FlowSpec",
@@ -51,19 +48,15 @@ __all__ = [
     "GossipPolicy",
     "LossyRadio",
     "MessageOutcome",
-    "Process",
     "Reception",
     "RebroadcastPolicy",
     "SimParams",
-    "SimulationError",
-    "Timeout",
     "TrafficMessage",
     "TrafficResult",
     "UnitDiskRadio",
     "poisson_workload",
     "simulate_broadcast",
     "simulate_broadcast_batch",
-    "simulate_broadcast_with_collisions",
     "simulate_traffic",
     "simulate_traffic_batch",
     "transmission_overhead",

@@ -9,7 +9,7 @@ overhead metric.
 
 This module owns the vocabulary (policies, :class:`SimParams`,
 :class:`BroadcastResult`) and the **reference** engine: the
-generator/callback DES inside :func:`simulate_broadcast`, reached with
+callback DES inside :func:`simulate_broadcast`, reached with
 ``fast=False`` and kept as the oracle the equivalence tests compare
 against.  Every other caller runs the group-event kernel in
 :mod:`repro.sim.columnar`, which ``fast=True`` (the default) hands off
@@ -220,7 +220,7 @@ def simulate_broadcast(
             kernel for any dead set.
         fast: run the group-event kernel in :mod:`repro.sim.columnar`
             as a one-flow batch (seeded results are identical);
-            ``False`` runs the reference generator/callback engine,
+            ``False`` runs the reference callback engine,
             kept as the oracle for the equivalence tests.
 
     Returns:
@@ -272,10 +272,7 @@ def simulate_broadcast(
             # seeded RNG consumption aligned between the engines.
             audience = [v for v in audience if v not in dead_aps]
         for reception in receptions_of(audience, rng):
-            ev = env.timeout(reception.delay_s)
-            ev.callbacks.append(
-                lambda _e, receiver=reception.receiver_id: receive(receiver)
-            )
+            env.schedule(reception.delay_s, receive, reception.receiver_id)
 
     def receive(ap_id: int) -> None:
         result.receptions += 1
@@ -293,8 +290,7 @@ def simulate_broadcast(
             return
         if policy.should_rebroadcast(ap):
             delay = rng.uniform(0.0, params.jitter_s) if params.jitter_s > 0 else 0.0
-            ev = env.timeout(delay)
-            ev.callbacks.append(lambda _e, transmitter=ap_id: transmit(transmitter))
+            env.schedule(delay, transmit, ap_id)
 
     # Source counts as having the packet; it delivers locally if it is
     # already in the destination building, and always transmits once.
@@ -304,7 +300,7 @@ def simulate_broadcast(
         result.delivered = True
         result.delivery_time_s = 0.0
     transmit(source_ap)
-    env.run(until=None if params.max_sim_time_s == float("inf") else params.max_sim_time_s)
+    env.run(until=params.max_sim_time_s)
     record_broadcast_metrics(result)
     return result
 

@@ -1,10 +1,18 @@
-"""Multi-message traffic simulation: what load can a DFN carry?
+"""Shared-air traffic simulation: what load can a DFN carry?
 
-The paper argues low-bandwidth applications suffice in disasters; the
-natural follow-up is how many concurrent messages the mesh sustains.
-This simulator runs *many* packets through the shared air under the
-overlap-collision MAC: transmissions of different messages interfere,
-so delivery rate degrades as offered load grows — the capacity curve.
+The paper's simulator (and :func:`repro.sim.broadcast.simulate_broadcast`)
+treats every in-range reception as successful; §6 lists wireless channel
+congestion among the effects a higher-fidelity simulation should add.
+This module adds the first-order version: transmissions occupy the air
+for a frame time, and a receiver decodes a frame **iff no other
+transmission it can hear (including its own) overlaps the frame** — the
+classic collision model without capture.
+
+Many messages share that air, so transmissions of different messages
+interfere and delivery rate degrades as offered load grows — the
+capacity curve.  With one message it is the single-broadcast collision
+model, where rebroadcast jitter is what keeps a protocol alive (the
+jitter ablation bench quantifies exactly that).
 """
 
 from __future__ import annotations
@@ -23,13 +31,18 @@ from .radio import DEFAULT_TX_DELAY_S
 
 @dataclass(frozen=True)
 class TrafficMessage:
-    """One offered message."""
+    """One offered message.
+
+    APs in ``compromised`` receive (and can deliver) the message but
+    silently drop it instead of relaying.
+    """
 
     msg_id: int
     start_s: float
     source_ap: int
     dest_building: int
     policy: RebroadcastPolicy
+    compromised: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -65,6 +78,7 @@ class TrafficResult:
 
     @property
     def collision_rate(self) -> float:
+        """Fraction of frame arrivals destroyed by collisions."""
         total = self.total_receptions + self.total_collisions
         return self.total_collisions / total if total else 0.0
 
@@ -84,7 +98,10 @@ class _AirLog:
             return False
         # Find the first interval whose start could matter.
         i = bisect_left(intervals, (start, float("-inf")))
-        # Check the neighbour on the left too (it may span into us).
+        # One step back is enough only because every frame lasts
+        # ``frame_time_s``: sorted by start, the intervals are sorted by
+        # end too, so if the nearest earlier one has ended by ``start``
+        # every earlier one has.
         if i > 0:
             i -= 1
         for s, e in intervals[i:]:
@@ -105,16 +122,19 @@ def simulate_traffic(
 ) -> TrafficResult:
     """Run many messages through the shared collision channel.
 
-    Semantics: each message behaves like
-    :func:`simulate_broadcast_with_collisions`, but all messages share
-    the air — a frame is lost when *any* other transmission (of any
-    message) audible at the receiver overlaps it.  ``dead_aps`` removes
-    APs from the mesh for the whole run (a disaster epoch's outage
-    set): a dead AP never transmits, receives, or relays.
+    Semantics: each message floods like
+    :func:`~repro.sim.broadcast.simulate_broadcast` under its own
+    policy, but every transmission holds the air for ``frame_time_s``
+    and all messages share it — a frame from ``u`` arriving at ``v`` is
+    lost when *any* other transmission (of any message) audible at
+    ``v``, ``v``'s own included (half-duplex), overlaps it.
+    ``dead_aps`` removes APs from the mesh for the whole run (a
+    disaster epoch's outage set): a dead AP never transmits, receives,
+    or relays.
 
     Raises:
-        ValueError: for a non-positive frame time, unsorted ids, or a
-            dead source AP.
+        ValueError: for a non-positive frame time, duplicate message
+            ids, or a dead source AP.
     """
     if frame_time_s <= 0:
         raise ValueError("frame time must be positive")
@@ -137,7 +157,8 @@ def simulate_traffic(
 
     by_id = {m.msg_id: m for m in messages}
 
-    def transmit(ap_id: int, msg_id: int) -> None:
+    def transmit(sender: tuple[int, int]) -> None:
+        ap_id, msg_id = sender
         start = env.now
         end = start + frame_time_s
         air.add(ap_id, start, end)
@@ -147,12 +168,10 @@ def simulate_traffic(
         for v in graph.neighbors(ap_id):
             if v in dead_aps:
                 continue
-            ev = env.timeout(frame_time_s)
-            ev.callbacks.append(
-                lambda _e, rx=v, tx=ap_id, m=msg_id, s=start, t=end: receive(rx, tx, m, s, t)
-            )
+            env.schedule(frame_time_s, receive, (v, ap_id, msg_id, start, end))
 
-    def receive(v: int, u: int, msg_id: int, start: float, end: float) -> None:
+    def receive(frame: tuple[int, int, int, float, float]) -> None:
+        v, u, msg_id, start, end = frame
         # Half-duplex + interference from any message's transmissions.
         if air.overlaps(v, start, end):
             result.total_collisions += 1
@@ -172,10 +191,11 @@ def simulate_traffic(
         if ap.building_id == message.dest_building and not outcome.delivered:
             outcome.delivered = True
             outcome.delivery_time_s = env.now - message.start_s
+        if v in message.compromised:
+            return
         if message.policy.should_rebroadcast(ap):
             delay = rng.uniform(0.0, params.jitter_s) if params.jitter_s > 0 else 0.0
-            ev = env.timeout(delay)
-            ev.callbacks.append(lambda _e, tx=v, m=msg_id: transmit(tx, m))
+            env.schedule(delay, transmit, (v, msg_id))
 
     def inject(message: TrafficMessage) -> None:
         seen.add((message.msg_id, message.source_ap))
@@ -183,11 +203,10 @@ def simulate_traffic(
         if graph.aps[message.source_ap].building_id == message.dest_building:
             outcome.delivered = True
             outcome.delivery_time_s = 0.0
-        transmit(message.source_ap, message.msg_id)
+        transmit((message.source_ap, message.msg_id))
 
     for message in messages:
-        ev = env.timeout(message.start_s)
-        ev.callbacks.append(lambda _e, m=message: inject(m))
+        env.schedule(message.start_s, inject, message)
     env.run(until=params.max_sim_time_s)
     return result
 
@@ -208,10 +227,11 @@ def simulate_traffic_batch(
     :class:`~repro.sim.columnar.FlowSpec` inputs, but instead of each
     flow broadcasting through a private air, all of the epoch's flows
     contend for the channel.  Each flow becomes one
-    :class:`TrafficMessage` injected at ``start_times[i]``; the closer
-    together the start times, the more the flows collide and the lower
-    the delivery rate — the coupling a scenario's congestion stage
-    measures.
+    :class:`TrafficMessage` (with its ``compromised`` set) injected at
+    ``start_times[i]``; the closer together the start times, the more
+    the flows collide and the lower the delivery rate — the coupling a
+    scenario's congestion stage measures.  ``FlowSpec.rng`` is unused:
+    the shared ``rng`` draws every flow's jitter, in event order.
 
     Returns one :class:`MessageOutcome` per flow, in flow order.
 
@@ -230,6 +250,7 @@ def simulate_traffic_batch(
             source_ap=flow.source_ap,
             dest_building=flow.dest_building,
             policy=flow.policy,
+            compromised=flow.compromised,
         )
         for i, flow in enumerate(flows)
     ]

@@ -1,4 +1,4 @@
-"""Property-based tests for the discrete-event engine."""
+"""Property-based tests for the discrete-event clock."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +17,7 @@ class TestEngineProperties:
         env = Environment()
         fired: list[float] = []
         for d in ds:
-            env.timeout(d).callbacks.append(lambda _e: fired.append(env.now))
+            env.schedule(d, lambda _: fired.append(env.now), None)
         env.run()
         assert len(fired) == len(ds)
         assert all(a <= b for a, b in zip(fired, fired[1:]))
@@ -30,43 +30,27 @@ class TestEngineProperties:
         order: list[int] = []
         # Schedule every event at the same instant; FIFO must hold.
         for i, _ in enumerate(ds):
-            env.timeout(1.0).callbacks.append(lambda _e, i=i: order.append(i))
+            env.schedule(1.0, order.append, i)
         env.run()
         assert order == list(range(len(ds)))
 
     @given(delays)
     @settings(max_examples=40)
     def test_clock_never_goes_backwards(self, ds):
+        """Callbacks that schedule further events see a monotone clock."""
         env = Environment()
         observed: list[float] = []
+        targets = sorted(ds)
 
-        def proc():
-            for d in sorted(ds):
-                yield env.timeout(max(0.0, d - env.now))
-                observed.append(env.now)
+        def step(i: int) -> None:
+            observed.append(env.now)
+            if i < len(targets):
+                env.schedule(max(0.0, targets[i] - env.now), step, i + 1)
 
-        env.process(proc())
+        env.schedule(0.0, step, 0)
         env.run()
+        assert len(observed) == len(targets) + 1
         assert all(a <= b for a, b in zip(observed, observed[1:]))
-
-    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=40)
-    def test_nested_processes_complete(self, depth, seed):
-        env = Environment()
-        trace: list[int] = []
-
-        def worker(level: int):
-            yield env.timeout(0.001 * (seed % 7 + 1))
-            trace.append(level)
-            if level > 0:
-                result = yield env.process(worker(level - 1))
-                return result + 1
-            return 0
-
-        p = env.process(worker(depth))
-        result = env.run(until=p)
-        assert result == depth
-        assert trace == list(range(depth, -1, -1))
 
     @given(delays)
     @settings(max_examples=40)
@@ -78,7 +62,7 @@ class TestEngineProperties:
             env = Environment()
             fired = []
             for d in ds:
-                env.timeout(d).callbacks.append(lambda _e, d=d: fired.append(d))
+                env.schedule(d, fired.append, d)
             env.run(until=cut)
             env.run()
             return fired
@@ -87,7 +71,7 @@ class TestEngineProperties:
             env = Environment()
             fired = []
             for d in ds:
-                env.timeout(d).callbacks.append(lambda _e, d=d: fired.append(d))
+                env.schedule(d, fired.append, d)
             env.run()
             return fired
 
