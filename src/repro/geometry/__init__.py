@@ -5,7 +5,7 @@ event simulator) builds on these primitives.  Coordinates are metres in
 a local planar frame.
 """
 
-from .columnar import PolygonColumns, path_overlap_mask, rect_overlap_mask
+from .columnar import PolygonColumns, contains_mask, path_overlap_mask
 from .conduit import ConduitPath, ConduitRect, covers_all
 from .holes import PolygonWithHoles
 from .index import GridIndex
@@ -23,9 +23,9 @@ __all__ = [
     "PolygonWithHoles",
     "Segment",
     "centroid_of",
+    "contains_mask",
     "covers_all",
     "path_overlap_mask",
     "point_segment_distance",
-    "rect_overlap_mask",
     "segment_length",
 ]

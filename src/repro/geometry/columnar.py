@@ -50,8 +50,18 @@ Equivalence contract
 - degenerate (zero-length) conduit rectangles fall back to the scalar
   predicate outright: the disc test is all ``math.hypot``.
 
-``tests/test_columnar_geometry.py`` holds the property suite pinning
-this contract down, including collinear/touching adversarial cases.
+Points in one polygon
+---------------------
+
+:func:`contains_mask` is ``polygon.contains(p)`` over point columns
+(AP positions, building centroids), on the same point-in-polygon lanes
+as clause (B).  It is exact, not merely close: every point whose edge
+distance lands within ``_HYPOT_SLOP`` of the 1e-9 boundary threshold is
+re-decided by the scalar test, so the ``np.hypot`` last-bit caveat
+above cannot reach its verdicts.
+
+``tests/test_columnar_geometry.py`` holds the property suites pinning
+both contracts down, including collinear/touching adversarial cases.
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ from math import hypot
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from .point import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .conduit import ConduitPath, ConduitRect
@@ -70,6 +82,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # (collinear on-segment test) outside the true shapes; 1e-6 dominates
 # both with room to spare and costs nothing.
 _BBOX_MARGIN = 1e-6
+
+# Half-width of the band around the 1e-9 boundary threshold inside which
+# a columnar point-in-polygon verdict is re-decided by the scalar test.
+# ``np.hypot`` and ``math.hypot`` differ by at most an ulp (~2e-25 at
+# 1e-9), so this is wide by twelve orders of magnitude and still only
+# ever catches points deliberately placed a nanometre off an edge.
+_HYPOT_SLOP = 1e-12
+
+# Upper bound on the (point, edge) lanes of one contains_mask block.
+_CONTAINS_LANES = 1 << 16
 
 
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,12 +322,15 @@ def _rect_scalars(
 
 def _point_in_polygon_lanes(
     cols: PolygonColumns, rows: np.ndarray, cx: np.ndarray, cy: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """``polygon.contains(Point(cx[i], cy[i]))`` for polygon ``rows[i]``.
 
     Replicates the scalar test clause by clause: bbox gate, boundary
     proximity (distance to any edge < 1e-9), then even-odd ray casting.
-    Returns a bool array aligned with ``rows``.
+    Returns two bool arrays aligned with ``rows``: the verdicts, and
+    which tests had an edge distance within ``_HYPOT_SLOP`` of the
+    1e-9 threshold — the only verdicts the ``np.hypot`` rounding could
+    flip, which :func:`contains_mask` re-decides with the scalar test.
     """
     inside_bbox = (
         (cols.min_x[rows] <= cx)
@@ -314,8 +339,9 @@ def _point_in_polygon_lanes(
         & (cy <= cols.max_y[rows])
     )
     result = np.zeros(len(rows), dtype=bool)
+    near = np.zeros(len(rows), dtype=bool)
     if not inside_bbox.any():
-        return result
+        return result, near
     active = rows[inside_bbox]
     # Edge lanes for the active (point, polygon) tests.
     starts = cols.offsets[active]
@@ -338,7 +364,8 @@ def _point_in_polygon_lanes(
     t = np.minimum(1.0, np.maximum(0.0, t))
     qx = ax + (bx - ax) * t
     qy = ay + (by - ay) * t
-    on_boundary = np.hypot(qx - cx, qy - cy) < 1e-9
+    distance = np.hypot(qx - cx, qy - cy)
+    on_boundary = distance < 1e-9
     # Ray-cast clause: (ay > cy) != (by > cy), cx < x_cross.  The scalar
     # loop pairs vertex i with its *predecessor* j; over the whole ring
     # that is the same edge set as (vertex, successor), and the
@@ -355,7 +382,43 @@ def _point_in_polygon_lanes(
     boundary_hit[test[on_boundary]] = True
     cross_count = np.bincount(test[crossing], minlength=len(active))
     result[inside_bbox] = boundary_hit | ((cross_count % 2) == 1)
-    return result
+    near_hit = np.zeros(len(active), dtype=bool)
+    near_hit[test[np.abs(distance - 1e-9) <= _HYPOT_SLOP]] = True
+    near[inside_bbox] = near_hit
+    return result, near
+
+
+def contains_mask(polygon: "Polygon", px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """``polygon.contains(Point(px[i], py[i]))`` for every point, as a bool array.
+
+    The points inside the polygon's bounding box run through
+    :func:`_point_in_polygon_lanes` in blocks of at most
+    ``_CONTAINS_LANES`` (point, edge) lanes, so a city-sized point set
+    never materialises a city-times-ring temporary.  A point whose
+    distance to some edge lies within ``_HYPOT_SLOP`` of the 1e-9
+    boundary threshold is re-decided by the scalar test: ``np.hypot``
+    and ``math.hypot`` can differ in the last bit, and only there could
+    that flip a verdict — so the mask equals the scalar one exactly.
+    """
+    out = np.zeros(len(px), dtype=bool)
+    min_x, min_y, max_x, max_y = polygon.bbox
+    candidates = np.flatnonzero(
+        (min_x <= px) & (px <= max_x) & (min_y <= py) & (py <= max_y)
+    )
+    if candidates.size == 0:
+        return out
+    cols = PolygonColumns([polygon])
+    block = max(1, _CONTAINS_LANES // len(polygon.vertices))
+    for lo in range(0, candidates.size, block):
+        idx = candidates[lo : lo + block]
+        cx, cy = px[idx], py[idx]
+        inside, near = _point_in_polygon_lanes(
+            cols, np.zeros(idx.size, dtype=np.int64), cx, cy
+        )
+        for i in np.flatnonzero(near).tolist():
+            inside[i] = polygon.contains(Point(float(cx[i]), float(cy[i])))
+        out[idx] = inside
+    return out
 
 
 def _segments_intersect_lanes(
@@ -437,7 +500,7 @@ def _rects_overlap_mask(
 
     # Clause B: any rect corner inside the polygon — four point tests
     # per pair, pair-major.
-    corner_in = _point_in_polygon_lanes(
+    corner_in, _near = _point_in_polygon_lanes(
         cols, np.repeat(row, 4), corner_x[:, leg].T.ravel(), corner_y[:, leg].T.ravel()
     )
     hit = corner_in.reshape(-1, 4).any(axis=1)
@@ -469,20 +532,6 @@ def _is_degenerate(rect: "ConduitRect") -> bool:
     dx = rect.end.x - rect.start.x
     dy = rect.end.y - rect.start.y
     return dx * dx + dy * dy == 0.0
-
-
-def rect_overlap_mask(cols: PolygonColumns, rect: "ConduitRect") -> np.ndarray:
-    """``rect.intersects_polygon(p)`` for every polygon, as a bool array.
-
-    The one-rect case of :func:`path_overlap_mask`'s kernel, for a
-    non-degenerate rect.
-    """
-    if _is_degenerate(rect):
-        # Degenerate disc conduits are rare (single-waypoint routes)
-        # and full of hypot-rounding subtleties; the scalar fallback in
-        # path_overlap_mask owns them.
-        raise ValueError("degenerate rect: use path_overlap_mask")
-    return _rects_overlap_mask(cols, [rect])
 
 
 def path_overlap_mask(

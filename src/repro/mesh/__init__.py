@@ -9,6 +9,7 @@ from .islands import (
     bridge_all_islands,
     closest_gap,
     find_islands,
+    island_labels,
     plan_bridge,
 )
 from .power import (
@@ -44,6 +45,7 @@ __all__ = [
     "bridge_all_islands",
     "closest_gap",
     "find_islands",
+    "island_labels",
     "longevity_curve",
     "place_aps",
     "plan_bridge",

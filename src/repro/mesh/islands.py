@@ -31,53 +31,69 @@ class Island:
         return len(self.ap_ids)
 
 
-def _alive_components(graph: APGraph, alive: set[int]) -> list[set[int]]:
-    """Connected components of the mesh restricted to ``alive`` APs.
+def island_labels(
+    graph: APGraph, alive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the mesh restricted to the ``alive`` mask.
+
+    Returns ``(labels, sizes)``: ``labels[i]`` is AP ``i``'s component
+    (−1 for a dead AP) and ``sizes[k]`` is component ``k``'s AP count.
+    Components are numbered in order of their smallest AP id.
 
     Frontier-at-a-time BFS over the graph's cached CSR adjacency: each
     level expands every frontier member's neighbour lanes in one
     vectorized gather instead of one Python loop iteration per edge —
     O(alive + incident edges) with per-*level* rather than per-edge
-    interpreter overhead.  Components start from the smallest unvisited
-    AP id, so discovery order (and therefore the tie order of
-    equal-size components after the size sort) is deterministic.
+    interpreter overhead.  Each search starts from the smallest
+    unlabelled alive AP, which is what numbers the components.
     """
     n = len(graph.aps)
     indptr, indices = graph.csr()
-    visited = np.ones(n, dtype=bool)
-    if alive:
-        visited[np.fromiter(alive, dtype=np.int64, count=len(alive))] = False
-    comps: list[set[int]] = []
-    for start in np.nonzero(~visited)[0].tolist():
-        if visited[start]:
-            continue
-        visited[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        members = [frontier]
-        while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
+    first = indptr[:-1]
+    degree = indptr[1:] - first
+    # -2: dead; -1: alive, not reached yet; otherwise the label.
+    state = np.where(alive, -1, -2)
+    # stamp[v] = v's position in the current level's candidate list;
+    # the position that reads its own stamp back is v's one survivor.
+    stamp = np.zeros(n, dtype=np.int64)
+    sizes: list[int] = []
+    pending = np.flatnonzero(alive)
+    while pending.size:
+        start = int(pending[0])
+        label = len(sizes)
+        state[start] = label
+        size = 1
+        frontier = pending[:1]
+        while True:
+            counts = degree[frontier]
+            ends = np.cumsum(counts)
+            total = int(ends[-1])
             if total == 0:
                 break
-            lanes = (
-                np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-                + np.arange(total, dtype=np.int64)
-            )
-            neighbours = indices[lanes]
-            neighbours = np.unique(neighbours[~visited[neighbours]])
-            visited[neighbours] = True
-            members.append(neighbours)
-            frontier = neighbours
-        comps.append(set(np.concatenate(members).tolist()))
-    comps.sort(key=len, reverse=True)
-    return comps
+            lanes = np.repeat(first[frontier] - ends + counts, counts) + np.arange(total)
+            found = indices[lanes]
+            found = found[state[found] == -1]
+            if not found.size:
+                break
+            positions = np.arange(found.size)
+            stamp[found] = positions
+            found = found[stamp[found] == positions]
+            state[found] = label
+            size += found.size
+            frontier = found
+        sizes.append(size)
+        pending = pending[state[pending] == -1]
+    state[state == -2] = -1
+    return state, np.array(sizes, dtype=np.int64)
 
 
 def find_islands(
     graph: APGraph, min_size: int = 1, alive: Iterable[int] | None = None
 ) -> list[Island]:
     """Connected components of the mesh as islands, largest first.
+
+    Equal-size islands keep :func:`island_labels` order (smallest
+    member id first).
 
     Args:
         graph: the full AP mesh.
@@ -92,22 +108,40 @@ def find_islands(
     Raises:
         IndexError: if ``alive`` names an AP id outside the graph.
     """
+    n = len(graph.aps)
     if alive is None:
-        comps = graph.components()
+        mask = np.ones(n, dtype=bool)
     else:
-        alive_set = set(alive)
-        if alive_set and max(alive_set) >= len(graph.aps):
+        ids = np.fromiter(alive, dtype=np.int64)
+        if ids.size and int(ids.max()) >= n:
             raise IndexError(
-                f"alive set names AP {max(alive_set)} but the graph has "
-                f"only {len(graph.aps)} APs"
+                f"alive set names AP {int(ids.max())} but the graph has "
+                f"only {n} APs"
             )
-        comps = _alive_components(graph, alive_set)
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+    labels, sizes = island_labels(graph, mask)
+    # Group the alive APs by label (ascending ids within each group),
+    # then emit the groups largest first; the stable sort keeps
+    # equal-size islands in label order.
+    members = np.flatnonzero(mask)
+    members = members[np.argsort(labels[members], kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    building_of = graph.building_id_list()
     islands = []
-    for comp in comps:
-        if len(comp) < min_size:
-            continue
-        buildings = frozenset(graph.aps[i].building_id for i in comp)
-        islands.append(Island(ap_ids=frozenset(comp), building_ids=buildings))
+    for label in np.argsort(-sizes, kind="stable").tolist():
+        if sizes[label] < min_size:
+            break
+        comp = members[bounds[label] : bounds[label + 1]].tolist()
+        islands.append(
+            Island(
+                # From a dict, the frozenset's hash table is sized to
+                # the members; from a list it grows to twice that, and
+                # callers keep islands for whole timelines.
+                ap_ids=frozenset(dict.fromkeys(comp)),
+                building_ids=frozenset(map(building_of.__getitem__, comp)),
+            )
+        )
     return islands
 
 

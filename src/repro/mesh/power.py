@@ -11,6 +11,7 @@ starts as batteries deplete.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -52,13 +53,17 @@ class PowerProfile:
         """
         if hours_after_outage < 0:
             raise ValueError("time must be non-negative")
+        return hours_after_outage == 0.0 or hours_after_outage < self.runtime_hours
+
+    @property
+    def runtime_hours(self) -> float:
+        """Hours the AP runs off-grid: infinite for GENERATOR,
+        ``battery_hours`` for BATTERY, ``0.0`` for NONE."""
         if self.source is PowerSource.GENERATOR:
-            return True
-        if hours_after_outage == 0.0:
-            return True
+            return math.inf
         if self.source is PowerSource.BATTERY:
-            return hours_after_outage < self.battery_hours
-        return False
+            return self.battery_hours
+        return 0.0
 
 
 def assign_power_profiles(

@@ -4,10 +4,12 @@ Per epoch the driver
 
 1. applies the events pinned to that epoch (outages start/end, damage
    lands, churn draws, operators deploy bridge APs),
-2. derives the alive-AP set from power profiles, destruction, and
-   churn — against the *original* mesh, via the ``dead_aps`` argument
-   of :func:`~repro.sim.simulate_broadcast_batch` and the ``alive=`` path of
-   :func:`~repro.mesh.find_islands`, so no per-epoch graph rebuilds,
+2. derives the alive-AP mask from power runtimes, destruction, and
+   churn — all kept as per-AP arrays, with each outage's covered-AP
+   mask computed once when it fires — and labels the alive mesh's
+   islands with :func:`~repro.mesh.island_labels`; the dead APs reach
+   :func:`~repro.sim.simulate_broadcast_batch` as its ``dead_aps``, so
+   no per-epoch graph rebuilds,
 3. patches the building graph in one :meth:`~repro.buildgraph.\
 BuildingGraph.patch` call (exactly one version bump per mutating
    epoch, so the route cache invalidates once, not per casualty),
@@ -31,6 +33,8 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core import RoutePlan, conduits_for_waypoints
 from ..experiments import (
     TrialRunner,
@@ -38,15 +42,14 @@ from ..experiments import (
     sample_building_pairs,
     seed_for,
 )
-from ..geometry import Point, Polygon
+from ..geometry import Point, Polygon, contains_mask
 from ..measurement import Trajectory, buildings_along, random_walk
 from ..mesh import (
     AccessPoint,
     APGraph,
-    PowerProfile,
-    PowerSource,
     assign_power_profiles,
     find_islands,
+    island_labels,
     plan_bridge,
 )
 from ..obs import REGISTRY, RunManifest, span
@@ -185,7 +188,7 @@ class ScenarioDriver:
         self._flow_stream = stream + ":flow"
         # Construction randomness: every stream is keyed off the spec,
         # never off a shared sequential RNG.
-        self.profiles: dict[int, PowerProfile] = assign_power_profiles(
+        profiles = assign_power_profiles(
             self.world.graph.aps,
             random.Random(seed_for(base_seed, 0, stream + ":power")),
             battery_fraction=spec.battery_fraction,
@@ -215,14 +218,17 @@ class ScenarioDriver:
         self._mobile_versions: list[int | None] = [None] * len(
             self._mobile_tracks
         )
-        # Timeline state.
+        # Timeline state, one array slot per AP of ``self.graph``.
         self.graph: APGraph = self.world.graph  # extended at deploys
-        self._destroyed: set[int] = set()
-        self._churn_until: dict[int, int] = {}  # ap id -> recovery epoch
-        self._outages: list[tuple[Polygon | None, int]] = []  # (region, epoch)
-        self._churn_windows: list[APChurn] = [
-            ev for ev in spec.events if isinstance(ev, APChurn)
-        ]
+        n = len(self.graph.aps)
+        #: off-grid hours each AP runs (see PowerProfile.runtime_hours)
+        self._runtime = np.array(
+            [profiles[i].runtime_hours for i in range(n)], dtype=np.float64
+        )
+        self._destroyed = np.zeros(n, dtype=bool)
+        self._churn_until = np.zeros(n, dtype=np.int64)  # recovery epoch
+        # (region, start epoch, covered-AP mask) per active outage.
+        self._outages: list[tuple[Polygon | None, int, np.ndarray]] = []
         # Flow routing state: last plan + the graph version it was
         # validated against (None plan = known-unroutable then).
         self._plans: list[RoutePlan | None] = [None] * len(self.flows)
@@ -323,78 +329,84 @@ buildings_along` stretches each walk over the timeline and snaps every
         return tracks
 
     # ------------------------------------------------------------------
-    # Alive-set derivation
+    # Alive-state derivation
     # ------------------------------------------------------------------
-    def _covered(self, region: Polygon | None) -> list[int]:
-        """AP ids whose position an outage region covers (all if None)."""
+    @staticmethod
+    def _coverage(
+        region: Polygon | None, px: np.ndarray, py: np.ndarray
+    ) -> np.ndarray:
+        """Which of these AP positions an outage region covers (all if None)."""
         if region is None:
-            return list(range(len(self.graph.aps)))
-        return [
-            ap.id for ap in self.graph.aps if region.contains(ap.position)
-        ]
+            return np.ones(len(px), dtype=bool)
+        return contains_mask(region, px, py)
 
-    def _alive_set(self, epoch: int) -> set[int]:
-        """Alive AP ids at the given epoch under all current state."""
+    def _alive_mask(self, epoch: int) -> np.ndarray:
+        """Alive APs at the given epoch under all current state."""
         hour = epoch * self.spec.epoch_hours
-        n = len(self.graph.aps)
-        # Longest-running outage covering each AP (power does not
-        # stack: what matters is how long this AP has been off-grid).
-        elapsed: dict[int, float] = {}
-        for region, start_epoch in self._outages:
-            hours_out = hour - start_epoch * self.spec.epoch_hours
-            for ap_id in self._covered(region):
-                if elapsed.get(ap_id, -1.0) < hours_out:
-                    elapsed[ap_id] = hours_out
-        alive: set[int] = set()
-        for ap_id in range(n):
-            if ap_id in self._destroyed:
-                continue
-            if self._churn_until.get(ap_id, 0) > epoch:
-                continue
-            hours_out = elapsed.get(ap_id)
-            if hours_out is not None and not self.profiles[ap_id].alive_at(
-                hours_out
-            ):
-                continue
-            alive.add(ap_id)
+        alive = ~self._destroyed & (self._churn_until <= epoch)
+        if self._outages:
+            # Longest-running outage covering each AP (power does not
+            # stack: what matters is how long this AP has been
+            # off-grid); -1 marks an AP no outage covers.
+            elapsed = np.full(len(alive), -1.0)
+            for _region, start_epoch, covered in self._outages:
+                hours_out = hour - start_epoch * self.spec.epoch_hours
+                np.maximum(elapsed, np.where(covered, hours_out, -1.0), out=elapsed)
+            # PowerProfile.alive_at: t == 0.0 or t < runtime; an
+            # uncovered AP (t = -1) passes either clause.
+            alive &= (elapsed <= 0.0) | (elapsed < self._runtime)
         return alive
 
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
+    def _apply_outage(self, ev: GridOutage, epoch: int) -> None:
+        """Start an outage; which APs it covers is settled here, once."""
+        covered = self._coverage(ev.region, *self.graph.position_arrays())
+        self._outages.append((ev.region, epoch, covered))
+
+    def _apply_restore(self, ev: PowerRestored) -> None:
+        """End the outages over the event's region (every one if None)."""
+        self._outages = [
+            outage
+            for outage in self._outages
+            if ev.region is not None and outage[0] != ev.region
+        ]
+
     def _apply_damage(self, ev: Damage) -> list[int]:
         """Kill covered APs; return building ids to drop from routing."""
-        for ap in self.graph.aps:
-            if ap.id not in self._destroyed and ev.area.contains(ap.position):
-                self._destroyed.add(ap.id)
+        self._destroyed |= contains_mask(ev.area, *self.graph.position_arrays())
         bg = self.world.building_graph
-        return [b for b in list(bg) if ev.area.contains(bg.centroid(b))]
+        ids = list(bg)
+        centroids = [bg.centroid(b) for b in ids]
+        hit = contains_mask(
+            ev.area,
+            np.fromiter((c.x for c in centroids), dtype=np.float64, count=len(ids)),
+            np.fromiter((c.y for c in centroids), dtype=np.float64, count=len(ids)),
+        )
+        return [b for b, h in zip(ids, hit.tolist()) if h]
 
     def _apply_churn(self, ev: APChurn, epoch: int) -> None:
-        eligible = [
-            ap.id
-            for ap in self.graph.aps
-            if ap.id not in self._destroyed
-            and self._churn_until.get(ap.id, 0) <= epoch
-        ]
+        eligible = np.flatnonzero(
+            ~self._destroyed & (self._churn_until <= epoch)
+        ).tolist()
         count = int(ev.rate * len(eligible))
         if count == 0:
             return
         rng = random.Random(
             seed_for(self.spec.world.seed, epoch, self.spec.stream() + ":churn")
         )
-        for ap_id in rng.sample(eligible, count):
-            self._churn_until[ap_id] = epoch + ev.down_epochs
+        self._churn_until[rng.sample(eligible, count)] = epoch + ev.down_epochs
 
     def _apply_bridges(
         self, ev: DeployBridges, epoch: int
     ) -> tuple[int, list[tuple[int, int]]]:
-        """Bridge the currently-alive islands; extend mesh and profiles.
+        """Bridge the currently-alive islands; extend mesh and state.
 
         Returns the number of APs deployed and the routing links to
         announce (anchor-building pairs, one per bridged island).
         """
-        alive = self._alive_set(epoch)
+        alive = np.flatnonzero(self._alive_mask(epoch)).tolist()
         islands = find_islands(
             self.graph, min_size=ev.min_island_size, alive=alive
         )
@@ -427,10 +439,28 @@ buildings_along` stretches each walk over the timeline and snaps every
             # extension patches only the affected adjacency lists and is
             # byte-identical to a full rebuild, neighbour order included.
             self.graph = self.graph.with_added_aps(new_aps)
-            for ap in new_aps:
-                # Operator-maintained: generator-backed, outage-proof.
-                self.profiles[ap.id] = PowerProfile(PowerSource.GENERATOR)
+            self._extend_state(new_aps)
         return len(new_aps), links
+
+    def _extend_state(self, new_aps: list[AccessPoint]) -> None:
+        """Give freshly deployed APs their slots in every state array.
+
+        They are operator-maintained (generator-backed, so outage-proof),
+        intact and not churned; each active outage's mask grows by
+        whether its region covers them.
+        """
+        k = len(new_aps)
+        px = np.array([ap.position.x for ap in new_aps], dtype=np.float64)
+        py = np.array([ap.position.y for ap in new_aps], dtype=np.float64)
+        self._runtime = np.concatenate((self._runtime, np.full(k, np.inf)))
+        self._destroyed = np.concatenate((self._destroyed, np.zeros(k, dtype=bool)))
+        self._churn_until = np.concatenate(
+            (self._churn_until, np.zeros(k, dtype=np.int64))
+        )
+        self._outages = [
+            (region, start, np.concatenate((covered, self._coverage(region, px, py))))
+            for region, start, covered in self._outages
+        ]
 
     # ------------------------------------------------------------------
     # Routing
@@ -533,13 +563,9 @@ buildings_along` stretches each walk over the timeline and snaps every
                     continue
                 fired.append(ev.describe())
                 if isinstance(ev, GridOutage):
-                    self._outages.append((ev.region, epoch))
+                    self._apply_outage(ev, epoch)
                 elif isinstance(ev, PowerRestored):
-                    self._outages = [
-                        (region, start)
-                        for region, start in self._outages
-                        if ev.region is not None and region != ev.region
-                    ]
+                    self._apply_restore(ev)
                 elif isinstance(ev, Damage):
                     removals.extend(self._apply_damage(ev))
                 elif isinstance(ev, DeployBridges):
@@ -560,19 +586,12 @@ buildings_along` stretches each walk over the timeline and snaps every
             )
 
         with span("scenario.islands", epoch=epoch):
-            alive = self._alive_set(epoch)
-            islands = find_islands(self.graph, min_size=1, alive=alive)
-        REGISTRY.gauge("scenario.alive_aps").set(len(alive))
-        island_of: dict[int, int] = {}
-        for idx, island in enumerate(islands):
-            for ap_id in island.ap_ids:
-                island_of[ap_id] = idx
+            alive = self._alive_mask(epoch)
+            labels, sizes = island_labels(self.graph, alive)
+        alive_count = int(np.count_nonzero(alive))
+        REGISTRY.gauge("scenario.alive_aps").set(alive_count)
 
-        dead = (
-            frozenset(range(len(self.graph.aps))) - alive
-            if len(alive) < len(self.graph.aps)
-            else frozenset()
-        )
+        dead = frozenset(np.flatnonzero(~alive).tolist())
         trials: list[ScenarioFlowTrial] = []
         routable = 0
         reachable = 0
@@ -583,17 +602,11 @@ buildings_along` stretches each walk over the timeline and snaps every
             nonlocal routable, reachable
             if plan is not None:
                 routable += 1
-            src_alive = [
-                a for a in self.graph.aps_in_building(src) if a in alive
-            ]
+            src_alive = [a for a in self.graph.aps_in_building(src) if alive[a]]
             dst_islands = {
-                island_of[a]
-                for a in self.graph.aps_in_building(dst)
-                if a in alive
+                int(labels[a]) for a in self.graph.aps_in_building(dst) if alive[a]
             }
-            flow_reachable = any(
-                island_of[a] in dst_islands for a in src_alive
-            )
+            flow_reachable = any(int(labels[a]) in dst_islands for a in src_alive)
             if flow_reachable:
                 reachable += 1
             if plan is None or not src_alive:
@@ -661,17 +674,15 @@ buildings_along` stretches each walk over the timeline and snaps every
         transmissions = sum(tx for _ok, tx in outcomes)
 
         after = bg.stats()
-        reported_islands = sum(
-            1 for island in islands if island.size >= spec.min_island_size
-        )
+        reported_islands = int(np.count_nonzero(sizes >= spec.min_island_size))
         return EpochReport(
             epoch=epoch,
             hour=epoch * spec.epoch_hours,
             events=tuple(fired),
-            alive_aps=len(alive),
+            alive_aps=alive_count,
             total_aps=len(self.graph.aps),
             islands=reported_islands,
-            largest_island=islands[0].size if islands else 0,
+            largest_island=int(sizes.max()) if sizes.size else 0,
             graph_version=bg.version,
             mutated=mutated,
             deployed_aps=deployed_now,

@@ -1,12 +1,21 @@
-"""An independent shortest-path reference for the planner tests.
+"""Plain reference implementations the tests compare against.
 
-The planners run scipy's C Dijkstra; this is a plain binary-heap
-Dijkstra over a ``neighbors_of(node) -> {neighbor: weight}`` function,
-so the tests compare against code that shares nothing with them.
+- :func:`reference_dijkstra`: the planners run scipy's C Dijkstra; this
+  is a plain binary-heap Dijkstra over a ``neighbors_of(node) ->
+  {neighbor: weight}`` function, sharing nothing with them.
+- :func:`reference_components`: queue BFS components, against the
+  frontier-at-a-time island labelling.
+- :class:`ReferenceAliveState`: the scenario driver's alive-AP rules on
+  Python sets with scalar point-in-polygon tests, against its masks.
 """
 
 import math
+import random
+from collections import deque
 from heapq import heappop, heappush
+
+from repro.experiments import seed_for
+from repro.mesh import PowerProfile, PowerSource, assign_power_profiles
 
 
 def reference_dijkstra(neighbors_of, src, dst):
@@ -37,3 +46,111 @@ def reference_dijkstra(neighbors_of, src, dst):
                 parent[v] = u
                 heappush(heap, (nd, v))
     return None, math.inf
+
+
+def reference_components(adjacency, alive):
+    """Connected components of the ``alive`` nodes, by plain queue BFS.
+
+    ``adjacency[i]`` lists node ``i``'s neighbours; ``alive`` is a
+    sequence of bools.  Returns a list of sets, each search started
+    from the smallest node not yet reached.
+    """
+    seen = [not a for a in alive]
+    comps = []
+    for start in range(len(alive)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.add(v)
+                    queue.append(v)
+        comps.append(comp)
+    return comps
+
+
+class ReferenceAliveState:
+    """The scenario driver's alive-AP rules on sets and dicts.
+
+    A mirror of the driver's timeline state, fed the same events: AP
+    coverage by scalar ``Polygon.contains``, recomputed on every query;
+    destroyed APs as a set; churn recovery epochs as a dict; each AP's
+    :class:`~repro.mesh.PowerProfile` asked through ``alive_at``.
+    ``graph`` is always the driver's current mesh.
+    """
+
+    def __init__(self, spec, graph):
+        self.spec = spec
+        self.profiles = assign_power_profiles(
+            graph.aps,
+            random.Random(seed_for(spec.world.seed, 0, spec.stream() + ":power")),
+            battery_fraction=spec.battery_fraction,
+            generator_fraction=spec.generator_fraction,
+            battery_hours_range=spec.battery_hours_range,
+        )
+        self.destroyed = set()
+        self.churn_until = {}  # ap id -> recovery epoch
+        self.outages = []  # (region, start epoch)
+
+    def outage(self, region, epoch):
+        self.outages.append((region, epoch))
+
+    def restore(self, region):
+        self.outages = [
+            (r, start) for r, start in self.outages if region is not None and r != region
+        ]
+
+    def damage(self, graph, area):
+        for ap in graph.aps:
+            if ap.id not in self.destroyed and area.contains(ap.position):
+                self.destroyed.add(ap.id)
+
+    def churn(self, graph, ev, epoch):
+        eligible = [
+            ap.id
+            for ap in graph.aps
+            if ap.id not in self.destroyed and self.churn_until.get(ap.id, 0) <= epoch
+        ]
+        count = int(ev.rate * len(eligible))
+        if count == 0:
+            return
+        rng = random.Random(
+            seed_for(self.spec.world.seed, epoch, self.spec.stream() + ":churn")
+        )
+        for ap_id in rng.sample(eligible, count):
+            self.churn_until[ap_id] = epoch + ev.down_epochs
+
+    def deployed(self, new_ids):
+        for ap_id in new_ids:
+            self.profiles[ap_id] = PowerProfile(PowerSource.GENERATOR)
+
+    def alive_set(self, graph, epoch):
+        hour = epoch * self.spec.epoch_hours
+        # Longest-running outage covering each AP.
+        elapsed = {}
+        for region, start_epoch in self.outages:
+            hours_out = hour - start_epoch * self.spec.epoch_hours
+            covered = (
+                range(len(graph.aps))
+                if region is None
+                else [ap.id for ap in graph.aps if region.contains(ap.position)]
+            )
+            for ap_id in covered:
+                if elapsed.get(ap_id, -1.0) < hours_out:
+                    elapsed[ap_id] = hours_out
+        alive = set()
+        for ap_id in range(len(graph.aps)):
+            if ap_id in self.destroyed:
+                continue
+            if self.churn_until.get(ap_id, 0) > epoch:
+                continue
+            hours_out = elapsed.get(ap_id)
+            if hours_out is not None and not self.profiles[ap_id].alive_at(hours_out):
+                continue
+            alive.add(ap_id)
+        return alive

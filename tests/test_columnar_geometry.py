@@ -1,11 +1,13 @@
-"""The columnar conduit-overlap kernel must agree with the scalar
-predicate bit for bit — verdict by verdict — on every polygon."""
+"""The columnar kernels must agree with the scalar predicates bit for
+bit — verdict by verdict — on every polygon and every point."""
 
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import (
     ConduitPath,
@@ -13,9 +15,10 @@ from repro.geometry import (
     Point,
     Polygon,
     PolygonColumns,
+    contains_mask,
     path_overlap_mask,
-    rect_overlap_mask,
 )
+from repro.scenario.generate import _disc, _rect
 
 
 def random_polygon(rng: random.Random) -> Polygon:
@@ -43,6 +46,11 @@ def random_rect(rng: random.Random) -> ConduitRect:
     return ConduitRect(a, b, width=rng.uniform(5, 80))
 
 
+def rect_mask(cols, rect):
+    """The conduit kernel over a one-rectangle path."""
+    return path_overlap_mask(cols, ConduitPath([rect]))
+
+
 def assert_mask_matches(polygons, path):
     cols = PolygonColumns([p for p in polygons])
     mask = path_overlap_mask(cols, path, polygons=polygons)
@@ -58,7 +66,7 @@ class TestRandomized:
         cols = PolygonColumns(polygons)
         for _ in range(6):
             rect = random_rect(rng)
-            mask = rect_overlap_mask(cols, rect)
+            mask = rect_mask(cols, rect)
             expected = [rect.intersects_polygon(p) for p in polygons]
             assert mask.tolist() == expected
 
@@ -87,7 +95,7 @@ class TestAdversarial:
         containing = Polygon.rectangle(-50, -50, 150, 50)  # rect fully inside
         polys = [touching, separate, inside, containing]
         cols = PolygonColumns(polys)
-        mask = rect_overlap_mask(cols, rect)
+        mask = rect_mask(cols, rect)
         assert mask.tolist() == [rect.intersects_polygon(p) for p in polys]
         assert mask.tolist() == [True, False, True, True]
 
@@ -99,7 +107,7 @@ class TestAdversarial:
         clearly_above = Polygon.rectangle(20, 10.1, 60, 40)
         polys = [sharing_edge, just_above, clearly_above]
         cols = PolygonColumns(polys)
-        mask = rect_overlap_mask(cols, rect)
+        mask = rect_mask(cols, rect)
         assert mask.tolist() == [rect.intersects_polygon(p) for p in polys]
 
     def test_vertex_exactly_on_rect_boundary(self):
@@ -110,7 +118,7 @@ class TestAdversarial:
             Polygon((Point(0, 10), Point(20, 30), Point(-20, 30))),  # apex on corner
         ]
         cols = PolygonColumns(polys)
-        mask = rect_overlap_mask(cols, rect)
+        mask = rect_mask(cols, rect)
         assert mask.tolist() == [rect.intersects_polygon(p) for p in polys]
 
     def test_degenerate_disc_conduit(self):
@@ -128,12 +136,12 @@ class TestAdversarial:
     def test_degenerate_rect_direct_call_raises(self):
         cols = PolygonColumns([Polygon.rectangle(0, 0, 1, 1)])
         with pytest.raises(ValueError):
-            rect_overlap_mask(cols, ConduitRect(Point(5, 5), Point(5, 5), 10))
+            rect_mask(cols, ConduitRect(Point(5, 5), Point(5, 5), 10))
 
     def test_empty_columns(self):
         cols = PolygonColumns([])
         rect = ConduitRect(Point(0, 0), Point(10, 0), width=5)
-        assert rect_overlap_mask(cols, rect).shape == (0,)
+        assert rect_mask(cols, rect).shape == (0,)
 
 
 class TestWholePathBatch:
@@ -234,11 +242,11 @@ class TestWholePathBatch:
         outside = ConduitPath(path.rects[:2] + path.rects[-1:])
         assert not path_overlap_mask(cols, outside).any()
 
-    def test_one_rect_path_is_rect_overlap_mask(self, city):
+    def test_one_rect_path_matches_scalar(self, city):
         polys, cols = city
         for rect in self.long_path(5).rects[10:14]:
             single = path_overlap_mask(cols, ConduitPath([rect]))
-            assert single.tolist() == rect_overlap_mask(cols, rect).tolist()
+            assert single.tolist() == self.scalar_mask(ConduitPath([rect]), polys)
             assert single.any()
 
     def test_bbox_candidates_match_brute_force(self, city):
@@ -285,3 +293,120 @@ class TestAgainstRealCity:
             ]
             assert mask.tolist() == expected
             assert mask.any()  # the route region is non-trivial
+
+
+# ----------------------------------------------------------------------
+# contains_mask: one polygon over point columns
+# ----------------------------------------------------------------------
+coord = st.floats(min_value=-500, max_value=500, allow_nan=False)
+shapes = st.one_of(
+    st.builds(
+        _disc,
+        st.builds(Point, coord, coord),
+        st.floats(min_value=0.5, max_value=300),
+        st.sampled_from([3, 5, 16]),
+    ),
+    st.builds(
+        lambda x, y, w, h: _rect(x, y, x + w, y + h),
+        coord,
+        coord,
+        st.floats(min_value=0.5, max_value=300),
+        st.floats(min_value=0.5, max_value=300),
+    ),
+)
+#: Offsets off an edge, along its normal: inside and outside the
+#: scalar test's 1e-9 boundary slop, and right at it.
+EDGE_OFFSETS = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9)
+
+
+def probe_points(polygon, ts, randoms):
+    """Every vertex; per edge, a point at each ``ts`` fraction along it
+    and that point moved ``EDGE_OFFSETS`` along the edge normal; and
+    ``randoms`` (unit-square fractions) spread over the padded bbox."""
+    points = list(polygon.vertices)
+    verts = polygon.vertices
+    for i, a in enumerate(verts):
+        b = verts[(i + 1) % len(verts)]
+        length = a.distance_to(b)
+        nx, ny = -(b.y - a.y) / length, (b.x - a.x) / length
+        for t in ts:
+            on_edge = a.lerp(b, t)
+            points += [Point(on_edge.x + nx * d, on_edge.y + ny * d) for d in EDGE_OFFSETS]
+    min_x, min_y, max_x, max_y = polygon.bbox
+    pad_x, pad_y = 0.1 * (max_x - min_x), 0.1 * (max_y - min_y)
+    points += [
+        Point(min_x - pad_x + u * (max_x - min_x + 2 * pad_x),
+              min_y - pad_y + v * (max_y - min_y + 2 * pad_y))
+        for u, v in randoms
+    ]
+    return points
+
+
+def assert_contains_matches(polygon, points):
+    px = np.array([p.x for p in points], dtype=np.float64)
+    py = np.array([p.y for p in points], dtype=np.float64)
+    assert contains_mask(polygon, px, py).tolist() == [polygon.contains(p) for p in points]
+
+
+class TestContainsMask:
+    @given(
+        shapes,
+        st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1)),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_contains(self, polygon, ts, randoms):
+        assert_contains_matches(polygon, probe_points(polygon, ts, randoms))
+
+    def test_blocks_cover_a_city_of_points(self):
+        """More lanes than one block: the blocked loop stitches verdicts
+        back in point order."""
+        polygon = _disc(Point(0.0, 0.0), 400.0, 16)
+        rng = random.Random(5)
+        points = [Point(rng.uniform(-450, 450), rng.uniform(-450, 450)) for _ in range(12_000)]
+        assert_contains_matches(polygon, points)
+
+    def test_no_points_and_no_candidates(self):
+        square = Polygon.rectangle(0, 0, 10, 10)
+        assert contains_mask(square, np.empty(0), np.empty(0)).shape == (0,)
+        assert not contains_mask(square, np.array([20.0, -1.0]), np.array([5.0, 5.0])).any()
+
+    # A convex vertex at the origin whose outward cone reaches into the
+    # bounding box: a point there is outside the polygon, its nearest
+    # boundary point is the vertex itself, so its one deciding number is
+    # hypot(dx, dy) against the 1e-9 boundary slop.
+    NOTCHED = Polygon(
+        (Point(0, 0), Point(20, -5), Point(20, 25), Point(-5, 25), Point(-5, 20), Point(1, 10))
+    )
+
+    @pytest.mark.parametrize(
+        "dx, dy",
+        [
+            # np.hypot rounds these to the other side of 1e-9 from
+            # math.hypot (glibc): only the scalar re-check gets them right.
+            (9.885448610367108e-10, 1.5092732594831906e-10),
+            (3.6056882425599836e-10, 9.3273261065251e-10),
+        ],
+    )
+    def test_hypot_rounding_at_the_boundary_slop(self, dx, dy):
+        assert_contains_matches(self.NOTCHED, [Point(-dx, -dy)])
+
+    def test_boundary_band_is_decided_by_the_scalar_test(self, monkeypatch):
+        """Points a nanometre off an edge take the scalar re-check, and
+        only they do."""
+        calls = []
+        scalar = Polygon.contains
+
+        def spy(polygon, p):
+            calls.append(p)
+            return scalar(polygon, p)
+
+        monkeypatch.setattr(Polygon, "contains", spy)
+        square = Polygon.rectangle(0, 0, 10, 10)
+        px = np.array([5.0, 5.0, 5.0, 5.0])
+        py = np.array([10 - 1e-9, 5.0, 10 - 3e-9, 10.0])
+        assert contains_mask(square, px, py).tolist() == [True] * 4
+        assert calls == [Point(5.0, 10 - 1e-9)]
