@@ -21,7 +21,8 @@ from .outcome import RoutingOutcome
 def aodv(graph: APGraph, source_ap: int, dest_building: int) -> RoutingOutcome:
     """Route one packet with AODV-style discovery plus unicast data."""
     hops = graph.min_hops_to_building(source_ap, dest_building)
-    component = graph.component_of(source_ap)
+    labels, sizes = graph.component_ids()
+    rreq_flood = int(sizes[labels[source_ap]])
     if hops is None:
         # The RREQ flood happens (and is wasted) even when the target
         # is unreachable.
@@ -29,9 +30,8 @@ def aodv(graph: APGraph, source_ap: int, dest_building: int) -> RoutingOutcome:
             scheme="aodv",
             delivered=False,
             data_transmissions=0,
-            control_transmissions=len(component),
+            control_transmissions=rreq_flood,
         )
-    rreq_flood = len(component)
     rrep_unicast = hops
     return RoutingOutcome(
         scheme="aodv",

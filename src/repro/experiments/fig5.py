@@ -38,8 +38,7 @@ def run_fig5(
     city = grid_downtown(seed=seed, blocks_x=blocks, blocks_y=blocks, name="downtown-section")
     aps = place_aps(city, density=ap_density, rng=random.Random(seed))
     graph = APGraph(aps, transmission_range=transmission_range)
-    components = graph.components()
-    largest = len(components[0]) / len(aps) if aps else 0.0
+    largest = int(graph.component_ids()[1].max()) / len(aps) if aps else 0.0
     return Fig5Result(
         footprints_art=render_city(city, width_chars=width_chars),
         mesh_art=render_mesh(city, graph, width_chars=width_chars),

@@ -11,7 +11,7 @@ from .holes import PolygonWithHoles
 from .index import GridIndex
 from .point import Point, centroid_of
 from .polygon import Polygon
-from .segment import Segment, point_segment_distance, segment_length
+from .segment import Segment
 
 __all__ = [
     "ConduitPath",
@@ -26,6 +26,4 @@ __all__ = [
     "contains_mask",
     "covers_all",
     "path_overlap_mask",
-    "point_segment_distance",
-    "segment_length",
 ]

@@ -94,13 +94,3 @@ def _on_segment(a: Point, b: Point, p: Point) -> bool:
         min(a.x, b.x) - 1e-12 <= p.x <= max(a.x, b.x) + 1e-12
         and min(a.y, b.y) - 1e-12 <= p.y <= max(a.y, b.y) + 1e-12
     )
-
-
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    """Convenience wrapper: distance from ``p`` to segment ``(a, b)``."""
-    return Segment(a, b).distance_to_point(p)
-
-
-def segment_length(a: Point, b: Point) -> float:
-    """Length of the segment ``(a, b)``."""
-    return math.hypot(b.x - a.x, b.y - a.y)

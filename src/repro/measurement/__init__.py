@@ -1,6 +1,6 @@
 """The §2 war-driving measurement study and its analysis pipeline."""
 
-from .crowdsourced import SurveyComparison, compare_survey_methods, crowdsourced_survey
+from .crowdsourced import crowdsourced_survey
 from .analysis import (
     ap_sighting_locations,
     common_ap_bins,
@@ -11,7 +11,7 @@ from .analysis import (
     table1_row,
 )
 from .scanner import Scan, ScanDataset, mac_address, run_survey
-from .study import AREA_NAMES, AreaSpec, area_specs, run_study, survey_area
+from .study import AREA_NAMES, AreaSpec, run_study, survey_area
 from .trajectory import (
     Trajectory,
     buildings_along,
@@ -23,15 +23,12 @@ from .trajectory import (
 __all__ = [
     "AreaSpec",
     "Scan",
-    "SurveyComparison",
     "ScanDataset",
     "Trajectory",
     "ap_sighting_locations",
-    "area_specs",
     "buildings_along",
     "common_ap_bins",
     "common_ap_pairs",
-    "compare_survey_methods",
     "crowdsourced_survey",
     "grid_walk",
     "line_walk",

@@ -12,7 +12,6 @@ a systematic survey of the same ground truth.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ..geometry import GridIndex, Point
 from ..mesh import AccessPoint
@@ -84,63 +83,3 @@ def crowdsourced_survey(
         )
         scans.append(Scan(index=i, time_s=float(i), position=recorded, heard=heard))
     return ScanDataset(area=area, scans=scans, ap_count=len(aps))
-
-
-@dataclass(frozen=True)
-class SurveyComparison:
-    """Systematic vs crowdsourced statistics on the same ground truth."""
-
-    systematic_measurements: int
-    crowdsourced_measurements: int
-    systematic_unique_aps: int
-    crowdsourced_unique_aps: int
-    systematic_median_spread: float
-    crowdsourced_median_spread: float
-    coverage_systematic: float
-    coverage_crowdsourced: float
-
-
-def compare_survey_methods(seed: int = 0) -> SurveyComparison:
-    """Run both survey styles over one downtown and compare the §2 stats.
-
-    The crowdsourced survey gets the *same number of measurements* as
-    the systematic walk, so every difference is methodology, not effort.
-    """
-    from ..city import grid_downtown
-    from ..mesh import place_aps
-    from .analysis import spread_cdf
-    from .scanner import run_survey
-    from .trajectory import grid_walk
-
-    rng = random.Random(seed)
-    city = grid_downtown(seed=seed, blocks_x=8, blocks_y=8)
-    aps = place_aps(city, density=1 / 40, rng=rng)
-    detection = FadingDetection(reliable_range=30.0, max_range=90.0)
-    min_x, min_y, max_x, max_y = city.bounds()
-
-    systematic = run_survey(
-        "systematic",
-        aps,
-        grid_walk(min_x, min_y, max_x, max_y, street_pitch=104.0),
-        detection,
-        random.Random(seed + 1),
-        rate_hz=0.35,
-    )
-    crowd = crowdsourced_survey(
-        "crowdsourced",
-        aps,
-        (min_x, min_y, max_x, max_y),
-        detection,
-        random.Random(seed + 2),
-        samples=systematic.measurement_count(),
-    )
-    return SurveyComparison(
-        systematic_measurements=systematic.measurement_count(),
-        crowdsourced_measurements=crowd.measurement_count(),
-        systematic_unique_aps=systematic.unique_ap_count(),
-        crowdsourced_unique_aps=crowd.unique_ap_count(),
-        systematic_median_spread=spread_cdf(systematic).median(),
-        crowdsourced_median_spread=spread_cdf(crowd).median(),
-        coverage_systematic=systematic.unique_ap_count() / len(aps),
-        coverage_crowdsourced=crowd.unique_ap_count() / len(aps),
-    )

@@ -118,11 +118,6 @@ _AREA_BUILDERS = {
 AREA_NAMES = tuple(_AREA_BUILDERS)
 
 
-def area_specs(seed: int = 0) -> list[AreaSpec]:
-    """The four §2 survey areas in Table 1 order."""
-    return [builder(seed) for builder in _AREA_BUILDERS.values()]
-
-
 def _area_seed(seed: int, name: str) -> int:
     """Stable per-area RNG seed (``hash()`` is randomised per process,
     which would make the surveys differ from run to run)."""

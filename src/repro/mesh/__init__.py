@@ -1,6 +1,6 @@
-"""AP placement, the unit-disk AP mesh, and island/bridge analysis."""
+"""AP placement, the unit-disk AP mesh, reachability, and island/bridge analysis."""
 
-from .critical import articulation_points, bridge_links
+from .critical import articulation_points
 from .graph import DEFAULT_TRANSMISSION_RANGE, APGraph
 from .islands import (
     BridgePlan,
@@ -9,7 +9,6 @@ from .islands import (
     bridge_all_islands,
     closest_gap,
     find_islands,
-    island_labels,
     plan_bridge,
 )
 from .power import (
@@ -26,6 +25,7 @@ from .placement import (
     AccessPoint,
     place_aps,
 )
+from .reach import island_labels
 
 __all__ = [
     "APGraph",
@@ -41,7 +41,6 @@ __all__ = [
     "apply_bridges",
     "assign_power_profiles",
     "articulation_points",
-    "bridge_links",
     "bridge_all_islands",
     "closest_gap",
     "find_islands",

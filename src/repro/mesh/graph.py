@@ -9,12 +9,12 @@ built *without* looking at it, which is exactly the paper's point.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..geometry import GridIndex, Point
+from . import reach
 from .placement import AccessPoint
 
 DEFAULT_TRANSMISSION_RANGE = 50.0  # metres, the paper's evaluation setting
@@ -265,43 +265,12 @@ class APGraph:
         return sum(len(a) for a in self._adjacency) // 2
 
     # ------------------------------------------------------------------
-    # Path queries (ground-truth oracles used for evaluation only)
+    # Path queries (ground-truth oracles used for evaluation only; each
+    # is a few lines on repro.mesh.reach)
     # ------------------------------------------------------------------
-    def hop_distance(self, src: int, dst: int) -> int | None:
-        """Minimum hop count between two APs via BFS, or None."""
-        if src == dst:
-            return 0
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            d = dist[u]
-            for v in self._adjacency[u]:
-                if v not in dist:
-                    if v == dst:
-                        return d + 1
-                    dist[v] = d + 1
-                    queue.append(v)
-        return None
-
     def shortest_path(self, src: int, dst: int) -> list[int] | None:
         """A minimum-hop AP path from ``src`` to ``dst``, or None."""
-        if src == dst:
-            return [src]
-        parent: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self._adjacency[u]:
-                if v not in parent:
-                    parent[v] = u
-                    if v == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        return list(reversed(path))
-                    queue.append(v)
-        return None
+        return reach.shortest_path(self, src, dst)
 
     def min_hops_to_building(self, src: int, building_id: int) -> int | None:
         """Minimum hops from ``src`` to *any* AP in the target building.
@@ -309,75 +278,21 @@ class APGraph:
         This is the denominator of the paper's transmission-overhead
         metric: the absolute best case number of transmissions.
         """
-        targets = set(self._by_building.get(building_id, []))
-        if not targets:
-            return None
-        if src in targets:
-            return 0
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            d = dist[u]
-            for v in self._adjacency[u]:
-                if v not in dist:
-                    if v in targets:
-                        return d + 1
-                    dist[v] = d + 1
-                    queue.append(v)
-        return None
+        return reach.hops_to(self, src, self.aps_in_building(building_id))
 
-    def component_of(self, ap_id: int) -> set[int]:
-        """All AP ids reachable from ``ap_id`` (its connected component)."""
-        seen = {ap_id}
-        queue = deque([ap_id])
-        while queue:
-            u = queue.popleft()
-            for v in self._adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+    def component_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(labels, sizes)`` of the connected components, computed once.
 
-    def components(self) -> list[set[int]]:
-        """All connected components, largest first."""
-        seen: set[int] = set()
-        comps: list[set[int]] = []
-        for ap in self.aps:
-            if ap.id in seen:
-                continue
-            comp = self.component_of(ap.id)
-            seen |= comp
-            comps.append(comp)
-        comps.sort(key=len, reverse=True)
-        return comps
-
-    def component_ids(self) -> list[int]:
-        """Component label per AP (lazily computed once and cached).
-
-        Two APs are mutually reachable iff their labels are equal.
+        Two APs are mutually reachable iff their labels are equal;
+        ``sizes[labels[i]]`` is the size of AP ``i``'s component.
         """
-        cached = getattr(self, "_component_ids", None)
-        if cached is not None:
-            return cached
-        labels = [-1] * len(self.aps)
-        next_label = 0
-        for ap in self.aps:
-            if labels[ap.id] != -1:
-                continue
-            for member in self.component_of(ap.id):
-                labels[member] = next_label
-            next_label += 1
-        self._component_ids = labels
-        return labels
+        if getattr(self, "_component_ids", None) is None:
+            self._component_ids = reach.island_labels(self, np.ones(len(self.aps), dtype=bool))
+        return self._component_ids
 
     def buildings_reachable(self, src_building: int, dst_building: int) -> bool:
         """Whether any AP in ``src_building`` can reach any AP in
         ``dst_building`` through the mesh (the paper's *reachability*)."""
-        src_aps = self._by_building.get(src_building, [])
-        dst_aps = self._by_building.get(dst_building, [])
-        if not src_aps or not dst_aps:
-            return False
-        labels = self.component_ids()
-        dst_labels = {labels[ap] for ap in dst_aps}
-        return any(labels[ap] in dst_labels for ap in src_aps)
+        labels = self.component_ids()[0]
+        src = labels[self.aps_in_building(src_building)].tolist()
+        return not set(src).isdisjoint(labels[self.aps_in_building(dst_building)].tolist())

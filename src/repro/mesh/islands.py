@@ -17,6 +17,7 @@ import numpy as np
 from ..geometry import Point
 from .graph import APGraph
 from .placement import AccessPoint
+from .reach import check_ids, island_labels
 
 
 @dataclass(frozen=True)
@@ -29,62 +30,6 @@ class Island:
     @property
     def size(self) -> int:
         return len(self.ap_ids)
-
-
-def island_labels(
-    graph: APGraph, alive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Connected components of the mesh restricted to the ``alive`` mask.
-
-    Returns ``(labels, sizes)``: ``labels[i]`` is AP ``i``'s component
-    (−1 for a dead AP) and ``sizes[k]`` is component ``k``'s AP count.
-    Components are numbered in order of their smallest AP id.
-
-    Frontier-at-a-time BFS over the graph's cached CSR adjacency: each
-    level expands every frontier member's neighbour lanes in one
-    vectorized gather instead of one Python loop iteration per edge —
-    O(alive + incident edges) with per-*level* rather than per-edge
-    interpreter overhead.  Each search starts from the smallest
-    unlabelled alive AP, which is what numbers the components.
-    """
-    n = len(graph.aps)
-    indptr, indices = graph.csr()
-    first = indptr[:-1]
-    degree = indptr[1:] - first
-    # -2: dead; -1: alive, not reached yet; otherwise the label.
-    state = np.where(alive, -1, -2)
-    # stamp[v] = v's position in the current level's candidate list;
-    # the position that reads its own stamp back is v's one survivor.
-    stamp = np.zeros(n, dtype=np.int64)
-    sizes: list[int] = []
-    pending = np.flatnonzero(alive)
-    while pending.size:
-        start = int(pending[0])
-        label = len(sizes)
-        state[start] = label
-        size = 1
-        frontier = pending[:1]
-        while True:
-            counts = degree[frontier]
-            ends = np.cumsum(counts)
-            total = int(ends[-1])
-            if total == 0:
-                break
-            lanes = np.repeat(first[frontier] - ends + counts, counts) + np.arange(total)
-            found = indices[lanes]
-            found = found[state[found] == -1]
-            if not found.size:
-                break
-            positions = np.arange(found.size)
-            stamp[found] = positions
-            found = found[stamp[found] == positions]
-            state[found] = label
-            size += found.size
-            frontier = found
-        sizes.append(size)
-        pending = pending[state[pending] == -1]
-    state[state == -2] = -1
-    return state, np.array(sizes, dtype=np.int64)
 
 
 def find_islands(
@@ -113,11 +58,7 @@ def find_islands(
         mask = np.ones(n, dtype=bool)
     else:
         ids = np.fromiter(alive, dtype=np.int64)
-        if ids.size and int(ids.max()) >= n:
-            raise IndexError(
-                f"alive set names AP {int(ids.max())} but the graph has "
-                f"only {n} APs"
-            )
+        check_ids(ids, n, "alive set")
         mask = np.zeros(n, dtype=bool)
         mask[ids] = True
     labels, sizes = island_labels(graph, mask)

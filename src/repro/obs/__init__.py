@@ -20,7 +20,7 @@ without cycles.
 """
 
 from .manifest import RunManifest, config_hash, repo_git_sha
-from .metrics import REGISTRY, Counter, Gauge, MetricsRegistry, Timer, get_registry
+from .metrics import REGISTRY, Counter, Gauge, MetricsRegistry, Timer
 from .spans import (
     close_trace,
     set_trace_path,
@@ -36,7 +36,6 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "Timer",
-    "get_registry",
     "span",
     "set_trace_path",
     "set_trace_sink",

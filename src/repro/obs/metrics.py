@@ -171,8 +171,3 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumented subsystem writes to.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide registry (one per process)."""
-    return REGISTRY

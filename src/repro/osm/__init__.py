@@ -2,9 +2,9 @@
 
 from .footprints import RELATION_ID_OFFSET, Footprint, buildings_from_document
 from .model import OsmDocument, OsmNode, OsmRelation, OsmRelationMember, OsmWay
-from .parser import OsmParseError, parse_osm_file, parse_osm_xml
+from .parser import OsmParseError, parse_osm_xml
 from .projection import EARTH_RADIUS_M, LocalProjection
-from .writer import polygons_to_osm_xml, write_osm_file
+from .writer import polygons_to_osm_xml
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -18,8 +18,6 @@ __all__ = [
     "OsmRelationMember",
     "OsmWay",
     "buildings_from_document",
-    "parse_osm_file",
     "parse_osm_xml",
     "polygons_to_osm_xml",
-    "write_osm_file",
 ]

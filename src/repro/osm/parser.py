@@ -17,7 +17,6 @@ Overpass, and our own :mod:`repro.osm.writer`:
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 from .model import OsmDocument, OsmNode, OsmRelation, OsmRelationMember, OsmWay
 
@@ -53,11 +52,6 @@ def parse_osm_xml(text: str) -> OsmDocument:
         elif elem.tag == "relation":
             doc.add_relation(_parse_relation(elem))
     return doc
-
-
-def parse_osm_file(path: str | Path) -> OsmDocument:
-    """Parse an ``.osm`` XML file from disk."""
-    return parse_osm_xml(Path(path).read_text(encoding="utf-8"))
 
 
 def _require_attr(elem: ET.Element, name: str) -> str:

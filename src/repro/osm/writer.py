@@ -8,7 +8,6 @@ cities for inspection in external OSM tooling.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from pathlib import Path
 from typing import Iterable
 
 from ..geometry import Polygon
@@ -56,15 +55,3 @@ def polygons_to_osm_xml(
     for way in way_elems:
         root.append(way)
     return ET.tostring(root, encoding="unicode")
-
-
-def write_osm_file(
-    path: str | Path,
-    polygons: Iterable[Polygon],
-    projection: LocalProjection,
-    tags: dict[str, str] | None = None,
-) -> None:
-    """Write polygons to an ``.osm`` XML file."""
-    Path(path).write_text(
-        polygons_to_osm_xml(polygons, projection, tags), encoding="utf-8"
-    )

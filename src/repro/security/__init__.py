@@ -3,8 +3,6 @@
 from .compromise import (
     honest_path_exists,
     random_compromise,
-    region_around,
-    region_compromise,
     targeted_compromise,
 )
 from .resilient import ResilientReport, resilient_send
@@ -13,8 +11,6 @@ __all__ = [
     "ResilientReport",
     "honest_path_exists",
     "random_compromise",
-    "region_around",
-    "region_compromise",
     "resilient_send",
     "targeted_compromise",
 ]

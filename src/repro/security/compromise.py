@@ -3,17 +3,18 @@
 Under cyberattack "some fraction of the nodes will be compromised";
 the baseline adversary here is a *blackhole*: a compromised AP keeps
 receiving packets but never rebroadcasts, silently eroding conduit
-connectivity.  Three selection models are provided — random fraction,
-geographic region (a compromised neighbourhood), and targeted cut
-(the adversary compromises the busiest relay buildings).
+connectivity.  Two selection models are provided — random fraction and
+targeted cut (the adversary compromises the busiest relay APs).
 """
 
 from __future__ import annotations
 
 import random
 
-from ..geometry import Point, Polygon
+import numpy as np
+
 from ..mesh import APGraph
+from ..mesh.reach import hops_to
 
 
 def random_compromise(
@@ -28,13 +29,6 @@ def random_compromise(
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     count = round(fraction * len(graph.aps))
     return frozenset(rng.sample(range(len(graph.aps)), count))
-
-
-def region_compromise(graph: APGraph, region: Polygon) -> frozenset[int]:
-    """Compromise every AP inside a geographic region."""
-    return frozenset(
-        ap.id for ap in graph.aps if region.contains(ap.position)
-    )
 
 
 def targeted_compromise(
@@ -78,35 +72,10 @@ def honest_path_exists(
     "A successful routing protocol for a DFN should find a path
     between two nodes wishing to communicate if there exists a path
     that does not traverse a compromised node."  This oracle decides
-    the *if*: BFS over the subgraph of honest APs.
+    the *if*: BFS over the subgraph of honest APs (a compromised source
+    or destination AP never counts).
     """
-    if source_ap in compromised:
-        return False
-    targets = {
-        ap for ap in graph.aps_in_building(dest_building) if ap not in compromised
-    }
-    if not targets:
-        return False
-    if source_ap in targets:
-        return True
-    from collections import deque
-
-    seen = {source_ap}
-    queue = deque([source_ap])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v in compromised or v in seen:
-                continue
-            if v in targets:
-                return True
-            seen.add(v)
-            queue.append(v)
-    return False
-
-
-def region_around(center: Point, radius: float) -> Polygon:
-    """A square compromise region centred on a point (convenience)."""
-    return Polygon.rectangle(
-        center.x - radius, center.y - radius, center.x + radius, center.y + radius
-    )
+    honest = np.ones(len(graph.aps), dtype=bool)
+    honest[list(compromised)] = False
+    targets = graph.aps_in_building(dest_building)
+    return hops_to(graph, source_ap, targets, honest) is not None

@@ -3,8 +3,9 @@
 - :func:`reference_dijkstra`: the planners run scipy's C Dijkstra; this
   is a plain binary-heap Dijkstra over a ``neighbors_of(node) ->
   {neighbor: weight}`` function, sharing nothing with them.
-- :func:`reference_components`: queue BFS components, against the
-  frontier-at-a-time island labelling.
+- :func:`reference_bfs` and :func:`reference_components`: plain queue
+  BFS (hop levels, parents, components), against the frontier-at-a-time
+  search of ``repro.mesh.reach``.
 - :class:`ReferenceAliveState`: the scenario driver's alive-AP rules on
   Python sets with scalar point-in-polygon tests, against its masks.
 """
@@ -46,6 +47,31 @@ def reference_dijkstra(neighbors_of, src, dst):
                 parent[v] = u
                 heappush(heap, (nd, v))
     return None, math.inf
+
+
+def reference_bfs(adjacency, sources, open_):
+    """Plain queue BFS from ``sources`` through the ``open_`` nodes.
+
+    ``adjacency[i]`` lists node ``i``'s neighbours; ``open_`` is a
+    sequence of bools, and a source that is not open is not reached.
+    Returns ``(dist, parent)`` dicts: each reached node's hop count, and
+    for each non-source the node it was first reached from.
+    """
+    dist = {}
+    parent = {}
+    queue = deque()
+    for s in sources:
+        if open_[s] and s not in dist:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if open_[v] and v not in dist:
+                dist[v] = dist[u] + 1
+                parent[v] = u
+                queue.append(v)
+    return dist, parent
 
 
 def reference_components(adjacency, alive):

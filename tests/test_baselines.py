@@ -207,7 +207,8 @@ class TestRunners:
         assert o.scheme == "flood"
         assert o.delivered
         # Flooding transmits once per AP in the component.
-        assert o.data_transmissions == len(graph.component_of(0))
+        labels, sizes = graph.component_ids()
+        assert o.data_transmissions == sizes[labels[0]]
 
     def test_run_gossip(self, setup):
         _, graph, __ = setup

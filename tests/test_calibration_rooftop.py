@@ -7,7 +7,7 @@ import pytest
 from repro.city import make_city
 from repro.experiments import format_calibration, run_calibration
 from repro.geometry import Point
-from repro.mesh import APGraph, AccessPoint, place_aps
+from repro.mesh import APGraph, AccessPoint, find_islands, place_aps
 
 
 class TestCalibration:
@@ -98,8 +98,8 @@ class TestHeterogeneousRanges:
             place_aps(city, rng=random.Random(1), rooftop_fraction=0.1,
                       rooftop_range=250)
         )
-        assert len(base.components()) >= 2
-        base_biggest = len(base.components()[0]) / len(base.aps)
-        boosted_biggest = len(boosted.components()[0]) / len(boosted.aps)
+        assert len(find_islands(base)) >= 2
+        base_biggest = find_islands(base)[0].size / len(base.aps)
+        boosted_biggest = find_islands(boosted)[0].size / len(boosted.aps)
         assert boosted_biggest > base_biggest
         assert boosted_biggest > 0.95

@@ -1,4 +1,4 @@
-"""Tests for articulation/bridge analysis and the attack comparison."""
+"""Tests for articulation-point analysis and the attack comparison."""
 
 import random
 
@@ -15,7 +15,6 @@ from repro.mesh import (
     APGraph,
     AccessPoint,
     articulation_points,
-    bridge_links,
     place_aps,
 )
 
@@ -78,7 +77,7 @@ class TestArticulation:
         city = make_city("suburbia", seed=2)
         g = APGraph(place_aps(city, rng=random.Random(2))[:200], transmission_range=50)
         points = articulation_points(g)
-        base_components = len(g.components())
+        base_components = len(g.component_ids()[1])
 
         def components_without(skip):
             seen = set()
@@ -106,13 +105,6 @@ class TestArticulation:
 
 
 class TestBridges:
-    def test_chain_all_edges(self):
-        g = chain(4)
-        assert bridge_links(g) == {(0, 1), (1, 2), (2, 3)}
-
-    def test_cycle_none(self):
-        assert bridge_links(cycle(6)) == set()
-
     def test_dense_downtown_is_robust(self):
         """The paper's dense-downtown case has (almost) no cut APs."""
         city = make_city("gridport", seed=1)

@@ -5,10 +5,7 @@ import random
 import pytest
 
 from repro.geometry import Point
-from repro.measurement import (
-    compare_survey_methods,
-    crowdsourced_survey,
-)
+from repro.measurement import crowdsourced_survey
 from repro.mesh import AccessPoint
 from repro.sim import FadingDetection
 
@@ -76,26 +73,3 @@ class TestCrowdsourcedSurvey:
             if a.position.distance_to(b.position) > 1.0
         )
         assert moved > 80
-
-
-class TestSurveyComparison:
-    @pytest.fixture(scope="class")
-    def comparison(self):
-        return compare_survey_methods(seed=0)
-
-    def test_equal_effort(self, comparison):
-        assert comparison.systematic_measurements == comparison.crowdsourced_measurements
-
-    def test_crowdsourcing_is_nonuniform(self, comparison):
-        """Footnote 1: crowdsourced databases are 'non-uniform' — at
-        equal effort they see fewer distinct APs."""
-        assert comparison.crowdsourced_unique_aps < comparison.systematic_unique_aps
-        assert comparison.coverage_crowdsourced < comparison.coverage_systematic
-
-    def test_gps_noise_inflates_spread(self, comparison):
-        """Footnote 1: crowdsourced data 'often lack precise locations'
-        — the spread statistic (Fig 1b) inflates accordingly."""
-        assert (
-            comparison.crowdsourced_median_spread
-            > comparison.systematic_median_spread * 1.1
-        )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Segment, point_segment_distance, segment_length
+from repro.geometry import Point, Segment
 
 coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coord, coord)
@@ -22,7 +22,7 @@ class TestSegmentBasics:
             Segment(Point(1, 1), Point(1, 1)).direction()
 
     def test_segment_length_helper(self):
-        assert segment_length(Point(0, 0), Point(6, 8)) == 10
+        assert Segment(Point(0, 0), Point(6, 8)).length() == 10
 
 
 class TestProjection:
@@ -59,10 +59,6 @@ class TestDistances:
     def test_point_distance_beyond_end(self):
         s = Segment(Point(0, 0), Point(10, 0))
         assert s.distance_to_point(Point(13, 4)) == 5
-
-    def test_helper_matches_method(self):
-        a, b, p = Point(0, 0), Point(4, 4), Point(4, 0)
-        assert point_segment_distance(p, a, b) == Segment(a, b).distance_to_point(p)
 
     def test_segment_segment_crossing_is_zero(self):
         s1 = Segment(Point(0, 0), Point(10, 10))

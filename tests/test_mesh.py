@@ -18,6 +18,7 @@ from repro.mesh import (
     place_aps,
     plan_bridge,
 )
+from repro.mesh.reach import hops_to
 
 
 def line_of_aps(xs, building_id=1):
@@ -99,10 +100,10 @@ class TestAPGraph:
 
     def test_hop_distance(self):
         g = APGraph(line_of_aps([0, 40, 80, 120]), transmission_range=50)
-        assert g.hop_distance(0, 0) == 0
-        assert g.hop_distance(0, 3) == 3
+        assert hops_to(g, 0, [0]) == 0
+        assert hops_to(g, 0, [3]) == 3
         g2 = APGraph(line_of_aps([0, 40, 200]), transmission_range=50)
-        assert g2.hop_distance(0, 2) is None
+        assert hops_to(g2, 0, [2]) is None
 
     def test_shortest_path(self):
         g = APGraph(line_of_aps([0, 40, 80, 120]), transmission_range=50)
@@ -124,8 +125,8 @@ class TestAPGraph:
 
     def test_components(self):
         g = APGraph(line_of_aps([0, 40, 200, 240, 280]), transmission_range=50)
-        comps = g.components()
-        assert [len(c) for c in comps] == [3, 2]
+        comps = find_islands(g)
+        assert [c.size for c in comps] == [3, 2]
 
     def test_buildings_reachable(self):
         aps = [
@@ -269,12 +270,12 @@ class TestIslands:
         city = river_city(seed=2, bridges=0, blocks_x=5, blocks_y=5)
         aps = place_aps(city, rng=random.Random(2))
         g = APGraph(aps)
-        before = g.components()
+        before = find_islands(g)
         assert len(before) >= 2
         plans, new_aps = bridge_all_islands(g, min_island_size=5)
         assert plans and new_aps
         bridged = apply_bridges(g, new_aps)
-        comps_after = [c for c in bridged.components() if len(c) >= 5]
+        comps_after = find_islands(bridged, min_size=5)
         assert len(comps_after) == 1
 
     def test_bridge_all_islands_noop_when_connected(self):

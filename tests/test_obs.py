@@ -12,7 +12,6 @@ from repro.obs import (
     MetricsRegistry,
     RunManifest,
     config_hash,
-    get_registry,
     repo_git_sha,
     set_trace_sink,
     span,
@@ -79,9 +78,6 @@ class TestMetricsRegistry:
         assert r.counter("kept") is c
         c.inc()
         assert r.snapshot()["counters"]["kept"] == 1
-
-    def test_process_registry(self):
-        assert get_registry() is REGISTRY
 
 
 class TestSpans:

@@ -16,8 +16,6 @@ from repro.osm import (
     buildings_from_document,
     parse_osm_xml,
     polygons_to_osm_xml,
-    write_osm_file,
-    parse_osm_file,
 )
 
 BOSTON = LocalProjection(42.36, -71.06)
@@ -181,8 +179,8 @@ class TestWriterRoundtrip:
 
     def test_write_and_parse_file(self, tmp_path):
         path = tmp_path / "test.osm"
-        write_osm_file(path, [Polygon.rectangle(0, 0, 20, 20)], BOSTON)
-        doc = parse_osm_file(path)
+        path.write_text(polygons_to_osm_xml([Polygon.rectangle(0, 0, 20, 20)], BOSTON))
+        doc = parse_osm_xml(path.read_text())
         assert len(doc.building_ways()) == 1
 
     def test_custom_tags(self):

@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.city import make_city
 from repro.geometry import GridIndex, Point
-from repro.mesh import APGraph, AccessPoint, place_aps
+from repro.mesh import APGraph, AccessPoint, find_islands, place_aps
+
+from .reference import reference_bfs
 
 
 class TestDenormalUnderflow:
@@ -26,14 +30,15 @@ class TestComponentCache:
     def test_component_ids_consistent_with_bfs(self):
         city = make_city("riverton", seed=1)
         g = APGraph(place_aps(city, rng=random.Random(1)))
-        labels = g.component_ids()
+        labels, _ = g.component_ids()
         # Same label <=> mutually reachable (checked on a sample).
         rng = random.Random(2)
+        alive = [True] * len(g.aps)
         for _ in range(20):
             u = rng.randrange(len(g.aps))
             v = rng.randrange(len(g.aps))
             same = labels[u] == labels[v]
-            assert same == (v in g.component_of(u))
+            assert same == (v in reference_bfs(g.adjacency_lists(), [u], alive)[0])
 
     def test_cache_is_stable_across_calls(self):
         g = APGraph([AccessPoint(0, Point(0, 0), 1), AccessPoint(1, Point(40, 0), 2)])
@@ -46,13 +51,22 @@ class TestComponentCache:
 
         city = make_city("riverton", seed=2)
         g = APGraph(place_aps(city, rng=random.Random(2)))
-        before = len(set(g.component_ids()))
+        before = len(g.component_ids()[1])
         _, new_aps = bridge_all_islands(g, min_island_size=5)
         bridged = apply_bridges(g, new_aps)
-        after = len(set(bridged.component_ids()))
+        after = len(bridged.component_ids()[1])
         assert after < before  # islands merged
         # The original graph's cache is untouched.
-        assert len(set(g.component_ids())) == before
+        assert len(g.component_ids()[1]) == before
+
+
+class TestFindIslandsAliveIds:
+    def test_negative_alive_id_raises(self):
+        """A negative id used to wrap around: ``alive={-1}`` on a 3-AP
+        graph returned the island {2} instead of raising."""
+        g = APGraph([AccessPoint(i, Point(40.0 * i, 0), i) for i in range(3)])
+        with pytest.raises(IndexError):
+            find_islands(g, alive={-1})
 
 
 class TestBridgeStructuresKeepDeliberateAps:
@@ -61,8 +75,8 @@ class TestBridgeStructuresKeepDeliberateAps:
         along bridges; deliberate spacing must keep the banks joined."""
         city = make_city("pontsville", seed=1)
         g = APGraph(place_aps(city, rng=random.Random(1)))
-        comps = g.components()
-        assert len(comps[0]) / len(g.aps) > 0.95
+        comps = find_islands(g)
+        assert comps[0].size / len(g.aps) > 0.95
 
 
 _HASHSEED_PROBE = """

@@ -7,13 +7,11 @@ import pytest
 import repro.security.resilient as resilient_module
 from repro.city import make_city
 from repro.core import BuildingRouter
-from repro.geometry import Point, Polygon
+from repro.geometry import Point
 from repro.mesh import APGraph, AccessPoint, place_aps
 from repro.security import (
     honest_path_exists,
     random_compromise,
-    region_around,
-    region_compromise,
     resilient_send,
     targeted_compromise,
 )
@@ -39,18 +37,6 @@ class TestCompromiseModels:
         assert len(random_compromise(g, 0.0, random.Random(0))) == 0
         assert len(random_compromise(g, 0.5, random.Random(0))) == 5
         assert len(random_compromise(g, 1.0, random.Random(0))) == 10
-
-    def test_region_compromise(self):
-        g = chain(5)
-        region = Polygon.rectangle(30, -10, 90, 10)
-        comp = region_compromise(g, region)
-        assert comp == frozenset({1, 2})
-
-    def test_region_around(self):
-        region = region_around(Point(100, 100), 50)
-        assert region.contains(Point(100, 100))
-        assert region.contains(Point(149, 149))
-        assert not region.contains(Point(200, 100))
 
     def test_targeted_compromise_hits_cut_vertex(self):
         g = chain(5)
