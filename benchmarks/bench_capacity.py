@@ -9,14 +9,13 @@ and graceful (not cliff-like) degradation beyond.
 from repro.experiments import format_capacity, run_capacity_sweep
 
 
-def test_bench_capacity(benchmark, gridport, bench_runner):
+def test_bench_capacity(benchmark, gridport):
     points = benchmark.pedantic(
         lambda: run_capacity_sweep(
             world=gridport,
             rates=(0.5, 4.0, 12.0),
             duration_s=15.0,
             seed=0,
-            runner=bench_runner,
         ),
         rounds=1,
         iterations=1,

@@ -3,27 +3,18 @@
 Heavy artefacts (the measurement study, built worlds) are produced once
 per session so each bench times its own experiment, not world
 construction.
-
-Benches that sweep independent trials run through a shared
-:class:`~repro.experiments.TrialRunner`.
 """
 
 import pytest
 
-from repro.experiments import TrialRunner, build_world
+from repro.experiments import build_world
 from repro.measurement import run_study
 
-@pytest.fixture(scope="session")
-def bench_runner():
-    """The session's trial runner."""
-    with TrialRunner() as runner:
-        yield runner
-
 
 @pytest.fixture(scope="session")
-def study_datasets(bench_runner):
+def study_datasets():
     """The four §2 survey datasets (runs the full study once)."""
-    return run_study(seed=0, runner=bench_runner)
+    return run_study(seed=0)
 
 
 @pytest.fixture(scope="session")

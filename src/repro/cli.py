@@ -15,44 +15,8 @@ import argparse
 import os
 import sys
 
-from .experiments import (
-    TrialRunner,
-    compare_membership,
-    export_all,
-    format_calibration,
-    format_capacity,
-    run_calibration,
-    run_capacity_sweep,
-    format_replication,
-    format_scaling,
-    replicate_fig6,
-    run_scaling,
-    format_baselines,
-    format_bridging,
-    format_compromise,
-    format_fig1,
-    format_fig2,
-    format_fig5,
-    format_fig6,
-    format_header_stats,
-    format_sweep,
-    format_table1,
-    run_baseline_comparison,
-    run_bridging,
-    run_compromise_sweep,
-    run_fig1,
-    run_fig2,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_header_stats,
-    run_table1,
-    sweep_ap_density,
-    sweep_conduit_width,
-    sweep_weight_exponent,
-)
 from .city import CITY_PRESETS, METRO_PRESETS
-from .measurement import run_study
+from .experiments.artifacts import ARTIFACTS, CITY_CHOICES, bounded, export_all, paper_args
 from .obs import (
     REGISTRY,
     close_trace,
@@ -77,13 +41,6 @@ from .scenario import (
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
-        "--workers",
-        type=int,
-        choices=(1,),
-        default=1,
-        help="trial processes: trials run in-process, so only 1 is accepted",
-    )
-    parser.add_argument(
         "--trace",
         metavar="OUT.jsonl",
         default=None,
@@ -94,39 +51,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _bounded(kind: type, low: float, high: float | None = None, *, low_open: bool = False):
-    """An argparse ``type`` accepting ``kind`` values from ``low``
-    (excluded with ``low_open``) up to ``high`` (included; ``None`` =
-    no cap).  NaN is refused."""
-    if high is None:
-        rule = f"> {low}" if low_open else f">= {low}"
-    else:
-        rule = f"in {'(' if low_open else '['}{low}, {high}]"
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {text!r}"
-            ) from None
-        above = value > low if low_open else value >= low
-        if not (above and (high is None or value <= high)):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
-
-    return parse
-
-
 def _existing_file(text: str) -> str:
     """An argparse ``type`` refusing paths that are not a regular file."""
     if not os.path.isfile(text):
         raise argparse.ArgumentTypeError(f"not a file: {text!r}")
     return text
-
-
-#: Every preset ``make_city`` builds, for ``--city`` choices.
-_CITY_CHOICES = [*CITY_PRESETS, *METRO_PRESETS]
 
 
 _SCENARIO_JSON_HELP = (
@@ -142,72 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("table1", "war-driving summary table"),
-        ("fig1", "CDFs of MACs per scan and per-MAC spread"),
-        ("fig2", "common APs vs measurement-pair distance"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for row in ARTIFACTS:
+        p = sub.add_parser(row.name, help=row.help)
         _add_common(p)
-        if name == "fig1":
-            p.add_argument("--plot", action="store_true", help="ASCII CDF charts")
-
-    p = sub.add_parser("fig5", help="downtown footprints and AP mesh rendering")
-    _add_common(p)
-    p.add_argument("--blocks", type=int, default=6)
-
-    p = sub.add_parser("fig6", help="reachability / deliverability / overhead per city")
-    _add_common(p)
-    p.add_argument("--reach-pairs", type=int, default=1000)
-    p.add_argument("--delivery-pairs", type=int, default=50)
-    p.add_argument("--cities", nargs="*", default=None)
-    p.add_argument("--plot", action="store_true", help="ASCII bar charts")
-
-    p = sub.add_parser("fig7", help="render one simulated delivery")
-    _add_common(p)
-    p.add_argument("--city", default="gridport")
-
-    p = sub.add_parser("header", help="compressed-route header sizes")
-    _add_common(p)
-    p.add_argument("--pairs", type=int, default=150)
-
-    p = sub.add_parser("ablation-width", help="conduit width sweep")
-    _add_common(p)
-    p = sub.add_parser("ablation-weights", help="edge-weight exponent sweep")
-    _add_common(p)
-    p = sub.add_parser("ablation-density", help="AP density sweep")
-    _add_common(p)
-    p = sub.add_parser("ablation-membership", help="building vs AP-position membership")
-    _add_common(p)
-
-    p = sub.add_parser("baselines", help="CityMesh vs flood/gossip/greedy/GPSR/AODV")
-    _add_common(p)
-    p.add_argument("--city", default="gridport")
-    p.add_argument("--pairs", type=int, default=30)
-
-    p = sub.add_parser("security", help="deliverability under compromised APs")
-    _add_common(p)
-    p.add_argument("--city", default="gridport")
-
-    p = sub.add_parser("bridging", help="island bridging before/after")
-    _add_common(p)
-    p.add_argument("--cities", nargs="*", default=["riverton", "capitolia"])
-
-    p = sub.add_parser("calibration", help="building-graph predictor precision/recall")
-    _add_common(p)
-    p.add_argument("--city", default="gridport")
-
-    p = sub.add_parser("capacity", help="delivery rate vs offered load")
-    _add_common(p)
-    p.add_argument("--city", default="gridport")
-
-    p = sub.add_parser("replicate", help="fig6 across seeds with error bars")
-    _add_common(p)
-    p.add_argument("--cities", nargs="*", default=["gridport", "riverton"])
-    p.add_argument("--num-seeds", type=int, default=5)
-
-    p = sub.add_parser("scaling", help="per-node control traffic vs network size (section 5)")
-    _add_common(p)
+        row.add_flags(p)
+        p.set_defaults(artifact=row)
 
     p = sub.add_parser(
         "metro", help="metro-scale hierarchical routing: partition + plan stats"
@@ -221,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="city preset (metro-20k, metro-100k, or any regular preset)",
     )
     p.add_argument(
-        "--routes", type=_bounded(int, 0), default=200, help="random routes to plan"
+        "--routes", type=bounded(int, 0), default=200, help="random routes to plan"
     )
     p.add_argument(
         "--region-size",
-        type=_bounded(int, 1),
+        type=bounded(int, 1),
         default=None,
         help="target buildings per region (default: library default)",
     )
@@ -258,33 +126,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="disaster shape to generate",
     )
     sp.add_argument(
-        "--city", default="gridport", choices=_CITY_CHOICES, metavar="CITY",
+        "--city", default="gridport", choices=CITY_CHOICES, metavar="CITY",
         help="preset city",
     )
     sp.add_argument(
         "--epochs",
-        type=_bounded(int, 4),
+        type=bounded(int, 4),
         default=None,
         help="timeline length, at least 4 (archetype default)",
     )
     sp.add_argument(
-        "--flows", type=_bounded(int, 1), default=16, help="static flows per epoch"
+        "--flows", type=bounded(int, 1), default=16, help="static flows per epoch"
     )
     sp.add_argument(
         "--intensity",
-        type=_bounded(float, 0, 3, low_open=True),
+        type=bounded(float, 0, 3, low_open=True),
         default=1.0,
         help="damage/churn/dwell scale, in (0, 3]",
     )
     sp.add_argument(
         "--mobile-flows",
-        type=_bounded(int, 0),
+        type=bounded(int, 0),
         default=0,
         help="walkers whose endpoints follow seeded trajectories",
     )
     sp.add_argument(
         "--congestion-window",
-        type=_bounded(float, 0),
+        type=bounded(float, 0),
         default=None,
         metavar="SECONDS",
         help=(
@@ -311,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(sp)
-    sp.add_argument("--count", type=_bounded(int, 1), default=5, help="timelines to draw")
+    sp.add_argument("--count", type=bounded(int, 1), default=5, help="timelines to draw")
     sp.add_argument(
-        "--city", default="gridport", choices=_CITY_CHOICES, metavar="CITY",
+        "--city", default="gridport", choices=CITY_CHOICES, metavar="CITY",
         help="preset city",
     )
 
@@ -338,22 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
-        "--port", type=_bounded(int, 0, 65535), default=8787, help="0 = ephemeral"
+        "--port", type=bounded(int, 0, 65535), default=8787, help="0 = ephemeral"
     )
     p.add_argument(
-        "--city", default="gridport", choices=_CITY_CHOICES, metavar="CITY",
+        "--city", default="gridport", choices=CITY_CHOICES, metavar="CITY",
         help="city preset the service hosts",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--shards", type=_bounded(int, 1), default=8, help="postbox store shards"
+        "--shards", type=bounded(int, 1), default=8, help="postbox store shards"
     )
     p.add_argument(
-        "--capacity", type=_bounded(int, 1), default=1024, help="messages per postbox"
+        "--capacity", type=bounded(int, 1), default=1024, help="messages per postbox"
     )
     p.add_argument(
         "--queue-limit",
-        type=_bounded(int, 1),
+        type=bounded(int, 1),
         default=4096,
         help="per-shard queue depth before 503 backpressure",
     )
@@ -396,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
-    p = sub.add_parser("export", help="write every artefact as CSV/text files")
+    p = sub.add_parser("export", help="write every paper artefact as CSV/text files")
     _add_common(p)
     p.add_argument("--out", default="results")
-    p.add_argument("--quick", action="store_true")
+    p.add_argument("--quick", action="store_true", help="reduced sample sizes")
 
-    p = sub.add_parser("all", help="run every experiment")
+    p = sub.add_parser("all", help="print every paper artefact (Table 1, Figs 1-7, header)")
     _add_common(p)
     p.add_argument("--quick", action="store_true", help="reduced sample sizes")
     return parser
@@ -418,13 +286,11 @@ def main(argv: list[str] | None = None) -> int:
         return _run_serve(args)
     if args.command == "loadgen":
         return _run_loadgen(args)
-    seed = getattr(args, "seed", 0)
     trace = getattr(args, "trace", None)
     if trace:
         set_trace_path(trace)
     try:
-        with TrialRunner() as runner:
-            return _dispatch(args, seed, runner)
+        return _dispatch(args)
     finally:
         if trace:
             close_trace()
@@ -624,105 +490,10 @@ def _run_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
-    if args.command in ("table1", "fig1", "fig2"):
-        datasets = run_study(seed=seed, runner=runner)
-        if args.command == "table1":
-            print(format_table1(run_table1(seed=seed, datasets=datasets)))
-        elif args.command == "fig1":
-            areas = run_fig1(seed=seed, datasets=datasets)
-            print(format_fig1(areas))
-            if args.plot:
-                from .experiments import fig1_series
-                from .viz import cdf_chart
-
-                series = fig1_series(areas, points=60)
-                print("\nFigure 1a: MACs per measurement")
-                print(cdf_chart(
-                    {a: s["macs_per_scan"] for a, s in series.items()},
-                    x_label="MACs per scan",
-                ))
-                print("\nFigure 1b: per-MAC location spread")
-                print(cdf_chart(
-                    {a: s["spread_m"] for a, s in series.items()},
-                    x_label="spread (m)",
-                ))
-        else:
-            print(format_fig2(run_fig2(seed=seed, datasets=datasets)))
-    elif args.command == "fig5":
-        print(format_fig5(run_fig5(seed=seed, blocks=args.blocks)))
-    elif args.command == "fig6":
-        rows = run_fig6(
-            seed=seed,
-            cities=args.cities,
-            reach_pairs=args.reach_pairs,
-            delivery_pairs=args.delivery_pairs,
-        )
-        print(format_fig6(rows))
-        if args.plot:
-            from .viz import ascii_bar_chart
-
-            print("\nreachability:")
-            print(ascii_bar_chart([r.city for r in rows],
-                                  [r.reachability for r in rows], max_value=1.0))
-            print("\ndeliverability given reachability:")
-            print(ascii_bar_chart([r.city for r in rows],
-                                  [r.deliverability for r in rows], max_value=1.0))
-    elif args.command == "fig7":
-        print(run_fig7(seed=seed, city_name=args.city).art)
-    elif args.command == "header":
-        print(format_header_stats(run_header_stats(seed=seed, pairs=args.pairs)))
-    elif args.command == "ablation-width":
-        print(
-            format_sweep(
-                sweep_conduit_width(seed=seed, runner=runner),
-                "width (m)",
-                "Conduit width sweep",
-            )
-        )
-    elif args.command == "ablation-weights":
-        print(
-            format_sweep(
-                sweep_weight_exponent(seed=seed, runner=runner),
-                "exponent",
-                "Edge-weight exponent sweep",
-            )
-        )
-    elif args.command == "ablation-density":
-        print(
-            format_sweep(
-                sweep_ap_density(seed=seed, runner=runner),
-                "m^2 per AP",
-                "AP density sweep",
-            )
-        )
-    elif args.command == "ablation-membership":
-        c = compare_membership(seed=seed, runner=runner)
-        print(
-            f"building membership: {c.building_delivered}/{c.attempted} delivered, "
-            f"median tx {c.building_median_tx}\n"
-            f"AP-position membership: {c.position_delivered}/{c.attempted} delivered, "
-            f"median tx {c.position_median_tx}"
-        )
-    elif args.command == "baselines":
-        print(format_baselines(run_baseline_comparison(args.city, seed=seed, pairs=args.pairs)))
-    elif args.command == "security":
-        print(format_compromise(run_compromise_sweep(args.city, seed=seed)))
-    elif args.command == "bridging":
-        results = [run_bridging(city, seed=seed) for city in args.cities]
-        print(format_bridging(results))
-    elif args.command == "calibration":
-        print(format_calibration(run_calibration(args.city, seed=seed)))
-    elif args.command == "capacity":
-        print(format_capacity(run_capacity_sweep(args.city, seed=seed, runner=runner)))
-    elif args.command == "replicate":
-        results = [
-            replicate_fig6(city, seeds=tuple(range(seed, seed + args.num_seeds)))
-            for city in args.cities
-        ]
-        print(format_replication(results))
-    elif args.command == "scaling":
-        print(format_scaling(run_scaling(runner=runner)))
+def _dispatch(args: argparse.Namespace) -> int:
+    seed = getattr(args, "seed", 0)
+    if hasattr(args, "artifact"):
+        print(args.artifact.text(args))
     elif args.command == "scenario":
         if args.scenario_command == "list":
             for name in scenario_names():
@@ -750,7 +521,7 @@ def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
             if args.spec_only:
                 print(_json.dumps(spec.to_dict(), indent=2, sort_keys=True))
                 return 0
-            result = run_scenario(spec, runner=runner)
+            result = run_scenario(spec)
             violations = check_invariants(result, spec)
             if args.json:
                 print(result.to_json(indent=2))
@@ -764,7 +535,7 @@ def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
         elif args.scenario_command == "fuzz":
             failures = 0
             for spec in fuzz_specs(args.count, seed, city=args.city):
-                result = run_scenario(spec, runner=runner)
+                result = run_scenario(spec)
                 problems = check_invariants(result, spec)
                 core = result.to_json(manifest=False)
                 if core != run_scenario(spec).to_json(manifest=False):
@@ -785,7 +556,7 @@ def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
                 return 1
             print(f"{args.count} generated timelines clean")
         else:
-            result = run_scenario(make_scenario(args.name, seed=seed), runner=runner)
+            result = run_scenario(make_scenario(args.name, seed=seed))
             if args.json:
                 print(result.to_json(indent=2))
             else:
@@ -796,24 +567,8 @@ def _dispatch(args: argparse.Namespace, seed: int, runner: TrialRunner) -> int:
             print(path)
         print(f"wrote {len(files)} files to {args.out}")
     elif args.command == "all":
-        quick = args.quick
-        datasets = run_study(seed=seed, runner=runner)
-        print(format_table1(run_table1(seed=seed, datasets=datasets)), "\n")
-        print(format_fig1(run_fig1(seed=seed, datasets=datasets)), "\n")
-        print(format_fig2(run_fig2(seed=seed, datasets=datasets)), "\n")
-        print(format_fig5(run_fig5(seed=seed)), "\n")
-        print(
-            format_fig6(
-                run_fig6(
-                    seed=seed,
-                    reach_pairs=100 if quick else 1000,
-                    delivery_pairs=15 if quick else 50,
-                )
-            ),
-            "\n",
-        )
-        print(run_fig7(seed=seed).art, "\n")
-        print(format_header_stats(run_header_stats(seed=seed, pairs=40 if quick else 150)), "\n")
+        for row, row_args in paper_args(seed, args.quick):
+            print(row.text(row_args), "\n")
     return 0
 
 

@@ -10,7 +10,6 @@ from .compression import (
     DEFAULT_CONDUIT_WIDTH,
     CompressedRoute,
     compress_route,
-    compression_ratio,
     conduits_for_waypoints,
 )
 from .packet import (
@@ -41,7 +40,6 @@ __all__ = [
     "ThinnedConduitPolicy",
     "bits_needed",
     "compress_route",
-    "compression_ratio",
     "conduits_for_waypoints",
     "decode_header",
     "encode_header",

@@ -128,10 +128,3 @@ def conduits_for_waypoints(
     predefined width, and checks whether it falls inside.
     """
     return ConduitPath.from_waypoints(waypoint_centroids, width)
-
-
-def compression_ratio(route_length: int, compressed: CompressedRoute) -> float:
-    """How many route buildings each encoded waypoint stands for."""
-    if compressed.waypoint_count == 0:
-        raise ValueError("compressed route has no waypoints")
-    return route_length / compressed.waypoint_count

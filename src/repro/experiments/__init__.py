@@ -10,6 +10,7 @@ from .ablations import (
     sweep_conduit_width,
     sweep_weight_exponent,
 )
+from .artifacts import ARTIFACTS, export_all
 from .baselines_exp import SchemeSummary, format_baselines, run_baseline_comparison
 from .bridging import BridgingResult, format_bridging, run_bridging
 from .calibration import CalibrationResult, GapBin, format_calibration, run_calibration
@@ -35,7 +36,6 @@ from .parallel import (
     delivery_trials,
     seed_for,
 )
-from .export import export_all
 from .fig1 import Fig1Area, fig1_series, format_fig1, run_fig1
 from .fig2 import Fig2Area, common_beyond, format_fig2, run_fig2
 from .fig5 import Fig5Result, format_fig5, run_fig5
@@ -55,6 +55,7 @@ from .scaling import ScalingRow, control_load, format_scaling, run_scaling
 from .table1 import Table1Row, format_table1, run_table1
 
 __all__ = [
+    "ARTIFACTS",
     "BridgingResult",
     "CalibrationResult",
     "CapacityPoint",

@@ -62,16 +62,14 @@ def sweep_conduit_width(
     widths: tuple[float, ...] = (25.0, 50.0, 75.0, 100.0, 150.0),
     seed: int = 0,
     pairs: int = 40,
-    runner: TrialRunner | None = None,
 ) -> list[SweepPoint]:
     """Deliverability and overhead vs conduit width W."""
-    runner = runner or TrialRunner()
     points = []
     for width in widths:
         world = build_world(city_name, seed=seed, conduit_width=width)
         rng = random.Random(seed + 5)
         pair_list = sample_building_pairs(world, pairs, rng)
-        outcomes = runner.run_deliveries(
+        outcomes = TrialRunner().run_deliveries(
             world, delivery_trials(pair_list, base_seed=seed + 5)
         )
         point = _aggregate(outcomes)
@@ -86,16 +84,14 @@ def sweep_weight_exponent(
     exponents: tuple[float, ...] = (1.0, 2.0, 3.0),
     seed: int = 0,
     pairs: int = 40,
-    runner: TrialRunner | None = None,
 ) -> list[SweepPoint]:
     """Deliverability vs the edge-weight exponent (paper: cubed)."""
-    runner = runner or TrialRunner()
     points = []
     for exponent in exponents:
         world = build_world(city_name, seed=seed, weight_exponent=exponent)
         rng = random.Random(seed + 5)
         pair_list = sample_building_pairs(world, pairs, rng)
-        outcomes = runner.run_deliveries(
+        outcomes = TrialRunner().run_deliveries(
             world, delivery_trials(pair_list, base_seed=seed + 5)
         )
         point = _aggregate(outcomes)
@@ -110,20 +106,18 @@ def sweep_ap_density(
     densities: tuple[float, ...] = (1 / 400, 1 / 300, 1 / 200, 1 / 100, 1 / 50),
     seed: int = 0,
     pairs: int = 40,
-    runner: TrialRunner | None = None,
 ) -> list[SweepPoint]:
     """Reachability+deliverability vs AP density (paper: 1/200 m²).
 
     Sweep points report the density as square metres per AP (so the
     paper's reference setting reads as 200).
     """
-    runner = runner or TrialRunner()
     points = []
     for density in densities:
         world = build_world(city_name, seed=seed, ap_density=density)
         rng = random.Random(seed + 5)
         pair_list = sample_building_pairs(world, pairs, rng)
-        outcomes = runner.run_deliveries(
+        outcomes = TrialRunner().run_deliveries(
             world, delivery_trials(pair_list, base_seed=seed + 5)
         )
         delivered = 0
@@ -190,11 +184,9 @@ def compare_membership(
     city_name: str = "gridport",
     seed: int = 0,
     pairs: int = 40,
-    runner: TrialRunner | None = None,
 ) -> MembershipComparison:
     """§4 attributes the 13x overhead to whole-building rebroadcast;
     this measures what the stricter AP-position rule would do."""
-    runner = runner or TrialRunner()
     world = build_world(city_name, seed=seed)
     rng = random.Random(seed + 5)
     pair_list = sample_building_pairs(world, pairs, rng)
@@ -202,7 +194,7 @@ def compare_membership(
     # per-pair router.plan() calls then hit the route cache.
     world.building_graph.plan_routes(pair_list)
     trials = delivery_trials(pair_list, base_seed=seed + 5)
-    results = runner.map(membership_trial, trials, world=world)
+    results = TrialRunner().map(membership_trial, trials, world=world)
     b_delivered = p_delivered = attempted = 0
     b_tx: list[float] = []
     p_tx: list[float] = []

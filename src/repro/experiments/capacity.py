@@ -83,18 +83,16 @@ def run_capacity_sweep(
     seed: int = 0,
     jitter_s: float = 0.05,
     world: World | None = None,
-    runner: TrialRunner | None = None,
 ) -> list[CapacityPoint]:
     """Sweep offered load and measure the capacity curve.
 
     Each rate point is an independent simulation on the same world;
     the points come back in ``rates`` order.
     """
-    runner = runner or TrialRunner()
     fn = partial(capacity_point, duration_s=duration_s, seed=seed, jitter_s=jitter_s)
     if world is None:
         world = build_world(city_name, seed=seed)
-    return runner.map(fn, list(rates), world=world)
+    return TrialRunner().map(fn, list(rates), world=world)
 
 
 def format_capacity(points: list[CapacityPoint]) -> str:

@@ -45,12 +45,11 @@ def run_fig6_city(
     seed: int = 0,
     reach_pairs: int = 1000,
     delivery_pairs: int = 50,
-    runner: TrialRunner | None = None,
 ) -> Fig6Row:
     """Evaluate one city: reachability sweep then event-sim deliveries.
 
-    Deliveries run through ``runner`` with one deterministic seed per
-    trial.
+    Deliveries run through a serial :class:`TrialRunner` with one
+    deterministic seed per trial.
     """
     rng = random.Random(seed + 1)
     pairs = sample_building_pairs(world, reach_pairs, rng)
@@ -58,9 +57,7 @@ def run_fig6_city(
         (s, d) for s, d in pairs if world.graph.buildings_reachable(s, d)
     ]
     delivery_sample = reachable[:delivery_pairs]
-    if runner is None:
-        runner = TrialRunner()
-    outcomes = runner.run_deliveries(
+    outcomes = TrialRunner().run_deliveries(
         world, delivery_trials(delivery_sample, base_seed=seed + 2)
     )
     delivered = 0

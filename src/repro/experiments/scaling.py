@@ -99,14 +99,13 @@ def control_load(
 
 def run_scaling(
     sizes: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000),
-    runner: TrialRunner | None = None,
 ) -> list[ScalingRow]:
     """The §5 scaling table across network sizes.
 
-    Each size is independent, so the rows run through the shared trial
+    Each size is independent, so the rows run as trials of a serial
     runner and return in ``sizes`` order.
     """
-    return (runner or TrialRunner()).map(control_load, list(sizes))
+    return TrialRunner().map(control_load, list(sizes))
 
 
 def format_scaling(rows: list[ScalingRow]) -> str:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from ..analysis import format_table
 from ..measurement import ScanDataset, run_study, table1_row
-from .parallel import TrialRunner
 
 PAPER_TABLE1 = {
     "downtown": (2691, 26532),
@@ -30,14 +29,10 @@ class Table1Row:
 def run_table1(
     seed: int = 0,
     datasets: list[ScanDataset] | None = None,
-    runner: TrialRunner | None = None,
 ) -> list[Table1Row]:
-    """Regenerate Table 1 (running the full study unless given data).
-
-    The four area surveys are independent trials of ``runner``.
-    """
+    """Regenerate Table 1 (running the full study unless given data)."""
     if datasets is None:
-        datasets = run_study(seed=seed, runner=runner)
+        datasets = run_study(seed=seed)
     rows = []
     total_meas = 0
     total_aps = 0

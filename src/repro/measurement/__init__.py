@@ -10,7 +10,7 @@ from .analysis import (
     spread_cdf,
     table1_row,
 )
-from .scanner import Scan, ScanDataset, mac_address, run_survey
+from .scanner import Scan, ScanDataset, run_survey
 from .study import AREA_NAMES, AreaSpec, run_study, survey_area
 from .trajectory import (
     Trajectory,
@@ -33,7 +33,6 @@ __all__ = [
     "grid_walk",
     "line_walk",
     "location_spread",
-    "mac_address",
     "macs_per_scan_cdf",
     "random_walk",
     "AREA_NAMES",

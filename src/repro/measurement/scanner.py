@@ -18,19 +18,6 @@ from ..sim import FadingDetection
 from .trajectory import Trajectory
 
 
-def mac_address(ap_id: int) -> str:
-    """A synthetic locally-administered BSSID for an AP id.
-
-    Deterministic and collision-free for ids below 2^24; the leading
-    ``02:`` octet marks the address as locally administered.
-    """
-    if not 0 <= ap_id < (1 << 24):
-        raise ValueError(f"AP id {ap_id} outside the 24-bit BSSID pool")
-    return "02:c1:70:{:02x}:{:02x}:{:02x}".format(
-        (ap_id >> 16) & 0xFF, (ap_id >> 8) & 0xFF, ap_id & 0xFF
-    )
-
-
 @dataclass(frozen=True)
 class Scan:
     """One measurement: a location, a timestamp, and the BSSIDs heard."""

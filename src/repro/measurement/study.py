@@ -146,14 +146,13 @@ def _survey_task(task: tuple[int, str]) -> ScanDataset:
     return survey_area(*task)
 
 
-def run_study(seed: int = 0, runner=None) -> list[ScanDataset]:
+def run_study(seed: int = 0) -> list[ScanDataset]:
     """Run the full four-area measurement study.
 
-    ``runner`` (a :class:`repro.experiments.parallel.TrialRunner`)
-    runs the four independent area surveys as trials; the datasets
-    come back in Table 1 order.
+    The four independent area surveys run as trials of a serial
+    :class:`repro.experiments.parallel.TrialRunner`; the datasets come
+    back in Table 1 order.
     """
-    tasks = [(seed, name) for name in AREA_NAMES]
-    if runner is None:
-        return [_survey_task(task) for task in tasks]
-    return runner.map(_survey_task, tasks)
+    from ..experiments.parallel import TrialRunner  # experiments imports this package
+
+    return TrialRunner().map(_survey_task, [(seed, name) for name in AREA_NAMES])

@@ -123,7 +123,6 @@ class TestBadInput:
             ["scenario", "generate", "--archetype", "flood", "--epochs", "0"],
             ["scenario", "generate", "--archetype", "flood", "--mobile-flows", "-1"],
             ["scenario", "generate", "--archetype", "flood", "--congestion-window", "-1"],
-            ["scenario", "run", "river-flood", "--workers", "0"],
             ["scenario", "fuzz", "--count", "0"],
             ["serve", "--city", "nowhere"],
             ["serve", "--shards", "0"],
@@ -132,13 +131,26 @@ class TestBadInput:
             ["serve", "--capacity", "0"],
             ["serve", "--queue-limit", "0"],
             ["serve", "--port", "70000"],
-            ["fig6", "--workers", "two"],
-            ["fig6", "--workers", "2"],
-            ["replicate", "--workers", "2"],
-            ["capacity", "--workers", "2"],
-            ["scenario", "fuzz", "--workers", "2"],
             ["obs", "show", "no-such-dir/missing.jsonl"],
             ["obs", "show", "."],
+            ["fig6", "--delivery-pairs", "-1", "--cities", "gridport"],
+            ["fig6", "--reach-pairs", "-5"],
+            ["fig6", "--reach-pairs", "0"],
+            ["fig6", "--cities"],
+            ["fig6", "--cities", "nowhere"],
+            ["header", "--pairs", "0"],
+            ["header", "--pairs", "-3"],
+            ["fig5", "--blocks", "0"],
+            ["fig5", "--blocks", "-2"],
+            ["replicate", "--num-seeds", "0"],
+            ["replicate", "--cities", "gridport", "nowhere"],
+            ["fig7", "--city", "nowhere"],
+            ["baselines", "--city", "nowhere"],
+            ["baselines", "--pairs", "0"],
+            ["security", "--city", "nowhere"],
+            ["capacity", "--city", "nowhere"],
+            ["calibration", "--city", "nowhere"],
+            ["bridging", "--cities"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
@@ -149,6 +161,30 @@ class TestBadInput:
         assert "Traceback" not in err
         command = " ".join(a for a in argv[:2] if not a.startswith("-"))
         assert err.splitlines()[-1].startswith(f"citymesh {command}: error: argument")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "run", "river-flood", "--workers", "0"],
+            ["scenario", "run", "river-flood", "--workers", "1"],
+            ["scenario", "fuzz", "--workers", "2"],
+            ["fig6", "--workers", "two"],
+            ["fig6", "--workers", "2"],
+            ["replicate", "--workers", "2"],
+            ["capacity", "--workers", "1"],
+            ["export", "--workers", "1"],
+            ["all", "--workers", "1"],
+        ],
+    )
+    def test_removed_workers_is_a_usage_error(self, argv, capsys):
+        """Only ``serve`` still takes ``--workers``; elsewhere it is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        removed = " ".join(argv[argv.index("--workers"):])
+        assert err.splitlines()[-1] == f"citymesh: error: unrecognized arguments: {removed}"
 
     def test_removed_loadgen_procs_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CompressedRoute, compress_route, compression_ratio, conduits_for_waypoints
+from repro.core import CompressedRoute, compress_route, conduits_for_waypoints
 from repro.geometry import ConduitRect, Point, covers_all
 
 
@@ -190,14 +190,3 @@ class TestConduitsForWaypoints:
         path = conduits_for_waypoints([Point(0, 0)], 50)
         assert path.contains(Point(0, 0))
         assert path.contains(Point(20, 0))
-
-
-class TestCompressionRatio:
-    def test_basic(self):
-        c = compress_route(straight_route(20), width=50)
-        assert compression_ratio(20, c) == 10.0
-
-    def test_zero_waypoints_raises(self):
-        fake = CompressedRoute(waypoints=(), width=50)
-        with pytest.raises(ValueError):
-            compression_ratio(5, fake)

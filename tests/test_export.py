@@ -69,11 +69,13 @@ def test_paper_artifacts_match_pins(exported):
     """Every seed-0 quick artefact is byte-identical to its committed
     digest: a routing or kernel refactor must not move Table 1, a
     figure, or the header stats.  After an intended change, regenerate
-    ``paper_pins.json`` (blake2b-8 of each file's bytes) and say so."""
+    ``paper_pins.json`` (blake2b-8 of each file's bytes) and say so.
+    Its ``stdout:`` keys pin the rows that export no file
+    (``test_artifact_pins.py``)."""
     _, files = exported
     pins = json.loads((Path(__file__).parent / "paper_pins.json").read_text())
     digests = {
         p.name: hashlib.blake2b(p.read_bytes(), digest_size=8).hexdigest()
         for p in files
     }
-    assert digests == pins
+    assert digests == {k: v for k, v in pins.items() if not k.startswith("stdout:")}

@@ -17,7 +17,6 @@ from repro.measurement import (
     grid_walk,
     line_walk,
     location_spread,
-    mac_address,
     macs_per_scan_cdf,
     random_walk,
     run_survey,
@@ -170,22 +169,6 @@ class TestBuildingsAlong:
         walk = Trajectory((Point(0, 0), Point(10, 0)), 1.4)
         with pytest.raises(ValueError, match="empty"):
             buildings_along(walk, city, epochs=3, candidates=[])
-
-
-class TestMacAddress:
-    def test_format(self):
-        assert mac_address(0) == "02:c1:70:00:00:00"
-        assert mac_address(0x123456) == "02:c1:70:12:34:56"
-
-    def test_unique(self):
-        macs = {mac_address(i) for i in range(1000)}
-        assert len(macs) == 1000
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mac_address(1 << 24)
-        with pytest.raises(ValueError):
-            mac_address(-1)
 
 
 class TestSurvey:

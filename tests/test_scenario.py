@@ -302,7 +302,7 @@ class TestScenarioCLI:
         assert result.final_delivery_rate > result.epochs[0].delivery_rate
 
     def test_run_table(self, capsys):
-        assert main(["scenario", "run", "bridge-ap-recovery", "--workers", "1"]) == 0
+        assert main(["scenario", "run", "bridge-ap-recovery"]) == 0
         out = capsys.readouterr().out
         assert "bridge-ap-recovery" in out
         assert "deploy-bridges" in out
