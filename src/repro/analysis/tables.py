@@ -17,8 +17,8 @@ def format_table(
 ) -> str:
     """Render rows as an aligned monospace table.
 
-    Floats are shown with 3 significant decimals; everything else via
-    ``str``.
+    Floats are shown with 3 significant decimals, None as ``-``;
+    everything else via ``str``.
     """
     rendered = [[_fmt(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
@@ -45,6 +45,8 @@ def format_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _fmt(cell: object) -> str:
+    if cell is None:  # undefined (nothing measured), never zero
+        return "-"
     if isinstance(cell, bool):
         return str(cell)
     if isinstance(cell, float):

@@ -13,9 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..city import City
 from ..geometry import Polygon
 from ..mesh import APGraph, AccessPoint
+from ..mesh.verdicts import footprint_mask
 from ..postbox import KeyPair, PublicKey, verify
 from ..sim import SimParams, simulate_broadcast
 
@@ -62,22 +65,25 @@ class RegionPolicy:
 
     city: City
     region: Polygon | None
-    _memo: dict[int, bool] | None = None
 
     def should_rebroadcast(self, ap: AccessPoint) -> bool:
         if self.region is None:
             return True
-        if self._memo is None:
-            self._memo = {}
-        verdict = self._memo.get(ap.building_id)
-        if verdict is None:
-            footprint = self.city.building(ap.building_id).polygon
-            verdict = _polygons_intersect(footprint, self.region)
-            self._memo[ap.building_id] = verdict
-        return verdict
+        return _polygons_intersect(self.city.building(ap.building_id).polygon, self.region)
+
+    def verdict_mask(self, graph: APGraph) -> np.ndarray:
+        if self.region is None:
+            return np.ones(len(graph), dtype=bool)
+        return footprint_mask(graph, self.city, lambda f: _polygons_intersect(f, self.region))
 
 
 def _polygons_intersect(a: Polygon, b: Polygon) -> bool:
+    # Boxes apart by more than the edges' 1e-12 touching slop cannot
+    # meet; this keeps a region mask, one test per building, cheap.
+    ax0, ay0, ax1, ay1 = a.bbox
+    bx0, by0, bx1, by1 = b.bbox
+    if ax1 + 1e-9 < bx0 or bx1 + 1e-9 < ax0 or ay1 + 1e-9 < by0 or by1 + 1e-9 < ay0:
+        return False
     if a.contains(b.vertices[0]) or b.contains(a.vertices[0]):
         return True
     return any(ea.intersects(eb) for ea in a.edges() for eb in b.edges())
@@ -117,23 +123,16 @@ def broadcast_alert(
     if not alert.is_authentic():
         raise ValueError("alert signature invalid: refusing to propagate")
     policy = RegionPolicy(city=city, region=alert.region)
-    # Destination building 0 never matches: we want the full spread.
+    # Destination building -1 never matches: we want the full spread.
     result = simulate_broadcast(
         graph, origin_ap, dest_building=-1, policy=policy, rng=rng, params=params
     )
-    heard_buildings = {graph.aps[ap].building_id for ap in result.heard}
-    if alert.region is None:
-        targets = [b for b in city.buildings if graph.aps_in_building(b.id)]
-    else:
-        targets = [
-            b
-            for b in city.buildings
-            if graph.aps_in_building(b.id)
-            and _polygons_intersect(b.polygon, alert.region)
-        ]
-    delivered = sum(1 for b in targets if b.id in heard_buildings)
+    # The target buildings are exactly those whose APs rebroadcast.
+    aps = graph.aps
+    targets = {aps[i].building_id for i in np.flatnonzero(policy.verdict_mask(graph))}
+    heard_buildings = {aps[i].building_id for i in result.heard}
     return BroadcastCoverage(
-        delivered_buildings=delivered,
+        delivered_buildings=len(targets & heard_buildings),
         target_buildings=len(targets),
         transmissions=result.transmissions,
         heard_aps=len(result.heard),

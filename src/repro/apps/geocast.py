@@ -13,11 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..buildgraph import NoRouteError
 from ..city import City
 from ..core import BuildingRouter
-from ..geometry import ConduitPath, ConduitRect, Point
+from ..geometry import ConduitPath, ConduitRect, Point, Polygon
 from ..mesh import APGraph, AccessPoint
+from ..mesh.verdicts import conduit_mask, footprint_mask
 from ..sim import SimParams, simulate_broadcast
 
 
@@ -29,20 +32,19 @@ class GeocastPolicy:
     conduits: ConduitPath
     target: Point
     radius: float
-    _memo: dict[int, bool] | None = None
+
+    def in_disc(self, footprint: Polygon) -> bool:
+        """Whether a footprint reaches into the delivery disc."""
+        return footprint.distance_to_point(self.target) <= self.radius
 
     def should_rebroadcast(self, ap: AccessPoint) -> bool:
-        if self._memo is None:
-            self._memo = {}
-        verdict = self._memo.get(ap.building_id)
-        if verdict is None:
-            building = self.city.building(ap.building_id)
-            verdict = (
-                building.polygon.distance_to_point(self.target) <= self.radius
-                or self.conduits.intersects_polygon(building.polygon)
-            )
-            self._memo[ap.building_id] = verdict
-        return verdict
+        footprint = self.city.building(ap.building_id).polygon
+        return self.in_disc(footprint) or self.conduits.intersects_polygon(footprint)
+
+    def verdict_mask(self, graph: APGraph) -> np.ndarray:
+        return conduit_mask(graph, self.city, self.conduits) | footprint_mask(
+            graph, self.city, self.in_disc
+        )
 
 
 @dataclass(frozen=True)
@@ -102,13 +104,10 @@ def geocast(
         centroid = city.building(source_building).centroid()
         conduits = ConduitPath([ConduitRect(centroid, centroid, router.conduit_width)])
 
-    targets = [
-        b
-        for b in city.buildings
-        if graph.aps_in_building(b.id)
-        and b.polygon.distance_to_point(target) <= radius
-    ]
     policy = GeocastPolicy(city=city, conduits=conduits, target=target, radius=radius)
+    targets = [
+        b for b in city.buildings if graph.aps_in_building(b.id) and policy.in_disc(b.polygon)
+    ]
     src_aps = graph.aps_in_building(source_building)
     if not src_aps:
         return GeocastResult(False, 0, len(targets), 0)

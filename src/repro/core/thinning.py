@@ -22,11 +22,14 @@ Key properties:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..city import City
 from ..geometry import ConduitPath
-from ..mesh import AccessPoint
+from ..mesh import APGraph, AccessPoint
+from ..mesh.verdicts import conduit_mask
 
 
 def thinning_hash(ap_id: int, message_id: int) -> float:
@@ -53,20 +56,21 @@ class ThinnedConduitPolicy:
     city: City
     message_id: int
     p: float
-    _memo: dict[int, bool] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.p <= 1:
             raise ValueError(f"thinning probability must be in (0, 1], got {self.p}")
 
     def should_rebroadcast(self, ap: AccessPoint) -> bool:
-        verdict = self._memo.get(ap.building_id)
-        if verdict is None:
-            footprint = self.city.building(ap.building_id).polygon
-            verdict = self.conduits.intersects_polygon(footprint)
-            self._memo[ap.building_id] = verdict
-        if not verdict:
+        footprint = self.city.building(ap.building_id).polygon
+        if not self.conduits.intersects_polygon(footprint):
             return False
-        if self.p >= 1.0:
-            return True
-        return thinning_hash(ap.id, self.message_id) < self.p
+        return self.p >= 1.0 or thinning_hash(ap.id, self.message_id) < self.p
+
+    def verdict_mask(self, graph: APGraph) -> np.ndarray:
+        """The conduit mask, thinned by hashing only its conduit APs."""
+        mask = conduit_mask(graph, self.city, self.conduits)
+        if self.p < 1.0:
+            for i in np.flatnonzero(mask).tolist():
+                mask[i] = thinning_hash(graph.aps[i].id, self.message_id) < self.p
+        return mask

@@ -33,8 +33,8 @@ class SweepPoint:
     median_overhead: float | None
 
     @property
-    def deliverability(self) -> float:
-        return self.delivered / self.attempted if self.attempted else 0.0
+    def deliverability(self) -> float | None:
+        return self.delivered / self.attempted if self.attempted else None
 
 
 def _aggregate(outcomes: list[DeliveryResult]) -> SweepPoint:
@@ -226,7 +226,7 @@ def format_sweep(points: list[SweepPoint], parameter_name: str, title: str) -> s
             [
                 p.parameter,
                 p.deliverability,
-                p.median_overhead if p.median_overhead is not None else "-",
+                p.median_overhead,
                 f"{p.delivered}/{p.attempted}",
             ]
             for p in points

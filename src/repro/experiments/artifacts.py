@@ -205,12 +205,16 @@ def _fig6_text(args: argparse.Namespace) -> str:
     if args.plot:
         from ..viz import ascii_bar_chart
 
-        cities = [r.city for r in rows]
+        def chart(values: list[float | None]) -> str:
+            # Undefined bars are skipped, not drawn as zero.
+            kept = [(r.city, v) for r, v in zip(rows, values) if v is not None]
+            return ascii_bar_chart(*zip(*kept), max_value=1.0) if kept else "-"
+
         parts += [
             "\nreachability:",
-            ascii_bar_chart(cities, [r.reachability for r in rows], max_value=1.0),
+            chart([r.reachability for r in rows]),
             "\ndeliverability given reachability:",
-            ascii_bar_chart(cities, [r.deliverability for r in rows], max_value=1.0),
+            chart([r.deliverability for r in rows]),
         ]
     return "\n".join(parts)
 

@@ -106,8 +106,8 @@ def format_baselines(summaries: list[SchemeSummary]) -> str:
             [
                 s.scheme,
                 s.deliverability,
-                s.mean_total_tx if s.mean_total_tx is not None else "-",
-                s.median_overhead if s.median_overhead is not None else "-",
+                s.mean_total_tx,
+                s.median_overhead,
             ]
             for s in summaries
         ],

@@ -31,13 +31,13 @@ class Fig6Row:
     p90_overhead: float | None
 
     @property
-    def reachability(self) -> float:
-        return self.reachable_pairs / self.pairs_tested if self.pairs_tested else 0.0
+    def reachability(self) -> float | None:
+        return self.reachable_pairs / self.pairs_tested if self.pairs_tested else None
 
     @property
-    def deliverability(self) -> float:
+    def deliverability(self) -> float | None:
         """Deliverability *given reachability*, as the paper defines it."""
-        return self.delivered / self.delivery_tested if self.delivery_tested else 0.0
+        return self.delivered / self.delivery_tested if self.delivery_tested else None
 
 
 def run_fig6_city(
@@ -113,8 +113,8 @@ def format_fig6(rows: list[Fig6Row]) -> str:
                 r.city,
                 r.reachability,
                 r.deliverability,
-                r.median_overhead if r.median_overhead is not None else "-",
-                r.p90_overhead if r.p90_overhead is not None else "-",
+                r.median_overhead,
+                r.p90_overhead,
                 f"{r.reachable_pairs}/{r.pairs_tested}",
                 f"{r.delivered}/{r.delivery_tested}",
             ]

@@ -17,19 +17,24 @@ from .fig6 import run_fig6_city
 
 @dataclass(frozen=True)
 class ReplicatedCity:
-    """Mean and standard deviation over seeds for one city."""
+    """Mean and standard deviation over seeds for one city (None where
+    no seed measured the quantity)."""
 
     city: str
     seeds: int
-    reachability_mean: float
-    reachability_std: float
-    deliverability_mean: float
-    deliverability_std: float
+    reachability_mean: float | None
+    reachability_std: float | None
+    deliverability_mean: float | None
+    deliverability_std: float | None
     overhead_mean: float | None
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def _mean_std(values: list[float | None]) -> tuple[float | None, float | None]:
+    """Mean and sample std over the defined values; None for none."""
+    values = [v for v in values if v is not None]
     n = len(values)
+    if n == 0:
+        return None, None
     mean = sum(values) / n
     if n < 2:
         return mean, 0.0
@@ -50,20 +55,17 @@ def replicate_fig6(
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    reach: list[float] = []
-    deliv: list[float] = []
-    overheads: list[float] = []
-    for seed in seeds:
-        world = build_world(city_name, seed=seed)
-        row = run_fig6_city(
-            world, seed=seed, reach_pairs=reach_pairs, delivery_pairs=delivery_pairs
+    rows = [
+        run_fig6_city(
+            build_world(city_name, seed=seed),
+            seed=seed,
+            reach_pairs=reach_pairs,
+            delivery_pairs=delivery_pairs,
         )
-        reach.append(row.reachability)
-        deliv.append(row.deliverability)
-        if row.median_overhead is not None:
-            overheads.append(row.median_overhead)
-    reach_mean, reach_std = _mean_std(reach)
-    deliv_mean, deliv_std = _mean_std(deliv)
+        for seed in seeds
+    ]
+    reach_mean, reach_std = _mean_std([r.reachability for r in rows])
+    deliv_mean, deliv_std = _mean_std([r.deliverability for r in rows])
     return ReplicatedCity(
         city=city_name,
         seeds=len(seeds),
@@ -71,8 +73,12 @@ def replicate_fig6(
         reachability_std=reach_std,
         deliverability_mean=deliv_mean,
         deliverability_std=deliv_std,
-        overhead_mean=sum(overheads) / len(overheads) if overheads else None,
+        overhead_mean=_mean_std([r.median_overhead for r in rows])[0],
     )
+
+
+def _pm(mean: float | None, std: float | None) -> str:
+    return "-" if mean is None else f"{mean:.3f}±{std:.3f}"
 
 
 def format_replication(results: list[ReplicatedCity]) -> str:
@@ -83,9 +89,9 @@ def format_replication(results: list[ReplicatedCity]) -> str:
             [
                 r.city,
                 r.seeds,
-                f"{r.reachability_mean:.3f}±{r.reachability_std:.3f}",
-                f"{r.deliverability_mean:.3f}±{r.deliverability_std:.3f}",
-                r.overhead_mean if r.overhead_mean is not None else "-",
+                _pm(r.reachability_mean, r.reachability_std),
+                _pm(r.deliverability_mean, r.deliverability_std),
+                r.overhead_mean,
             ]
             for r in results
         ],

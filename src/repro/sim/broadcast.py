@@ -23,10 +23,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from ..city import City
 from ..core import ConduitMembership, PacketHeader
 from ..geometry import ConduitPath
+from ..geometry.columnar import _contains_lanes
 from ..mesh import APGraph, AccessPoint
+from ..mesh.verdicts import conduit_mask
 from ..obs import REGISTRY
 from .engine import Environment
 from .radio import DEFAULT_JITTER_S, UnitDiskRadio
@@ -60,7 +64,13 @@ def record_broadcast_metrics(result: "BroadcastResult") -> None:
 
 
 class RebroadcastPolicy(Protocol):
-    """Decides whether an AP that just received a packet repeats it."""
+    """Decides whether an AP that just received a packet repeats it.
+
+    A stateless policy also offers ``verdict_mask(graph)``, a bool array
+    of ``should_rebroadcast(graph.aps[i])``, which the kernel reads once
+    per flow; others (gossip, which may draw from the simulation RNG;
+    user classes) are asked per fresh receiver, in reference RNG order.
+    """
 
     def should_rebroadcast(self, ap: AccessPoint) -> bool:
         """True if this AP should rebroadcast the packet once."""
@@ -77,8 +87,11 @@ class ConduitPolicy:
     "all the APs within a building rebroadcast".  Membership is thus
     decided per building — the footprint overlaps a conduit — which
     every AP can evaluate from the shared map plus its own building id.
-    The per-building verdict is memoised because a packet triggers the
-    same lookup at every AP of a building.
+
+    ``_memo`` holds per-building verdicts for the callers that ask once
+    per reception: the reference DES (which the pipeline benchmark's
+    reference check replays) and :func:`~repro.sim.simulate_traffic`.
+    ``verdict_mask`` ignores it.
     """
 
     conduits: ConduitPath
@@ -100,6 +113,9 @@ class ConduitPolicy:
             self._memo[ap.building_id] = verdict
         return verdict
 
+    def verdict_mask(self, graph: APGraph) -> np.ndarray:
+        return conduit_mask(graph, self.city, self.conduits)
+
 
 @dataclass(frozen=True)
 class PositionConduitPolicy:
@@ -116,6 +132,22 @@ class PositionConduitPolicy:
     def should_rebroadcast(self, ap: AccessPoint) -> bool:
         return self.conduits.contains(ap.position)
 
+    def verdict_mask(self, graph: APGraph) -> np.ndarray:
+        """Vectorized ``conduits.contains(ap.position)`` per AP, bit-exact."""
+        px, py = graph.position_arrays()
+        out = np.zeros(len(graph), dtype=bool)
+        for rect in self.conduits.rects:
+            undecided = ~out
+            if (rect.end - rect.start).norm_sq() == 0.0:
+                # Degenerate disc leg: scalar fallback (hypot-rounding
+                # subtleties live here, and these legs are rare).
+                for i in np.nonzero(undecided)[0].tolist():
+                    if rect.contains(graph.aps[i].position):
+                        out[i] = True
+            else:
+                out[undecided] |= _contains_lanes(rect, px[undecided], py[undecided])
+        return out
+
 
 @dataclass(frozen=True)
 class FloodPolicy:
@@ -123,6 +155,9 @@ class FloodPolicy:
 
     def should_rebroadcast(self, ap: AccessPoint) -> bool:
         return True
+
+    def verdict_mask(self, graph: APGraph) -> np.ndarray:
+        return np.ones(len(graph), dtype=bool)
 
 
 @dataclass

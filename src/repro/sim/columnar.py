@@ -9,11 +9,9 @@ and every flow of an epoch runs against the shared frozen state:
 - :func:`frozen_epoch` — int32 CSR adjacency with the dead APs already
   filtered out, cached per ``(graph, dead_aps)`` so repeated flows (and
   repeated epochs with an unchanged dead set) freeze nothing;
-- :func:`policy_verdict_array` — per-AP rebroadcast bitmaps computed
-  columnar-ly: conduit membership goes through the bit-exact
-  :func:`repro.geometry.path_overlap_mask` kernel over the city's
-  cached :class:`~repro.geometry.PolygonColumns` instead of one scalar
-  ``intersects_polygon`` call per building;
+- the policy's ``verdict_mask(graph)`` — its per-AP rebroadcast bitmap,
+  read with ``getattr`` once per flow (see
+  :class:`~repro.sim.broadcast.RebroadcastPolicy`);
 - :func:`run_columnar` — the group-event loop for one flow;
 - :func:`simulate_broadcast_batch` — the entry point: freeze once,
   then run every flow with its own policy/RNG/destination.
@@ -43,11 +41,10 @@ so array ops a group used to take cost more than the work they did.
 
 The same loop covers what a frozen bitmap or an inlined radio cannot:
 
-- **lazy verdicts** — when :func:`policy_verdict_array` returns
-  ``None`` (stateful gossip, user classes, a ``ConduitPolicy`` whose
-  memo is pre-seeded) the loop calls ``policy.should_rebroadcast``
-  where it would read the bitmap, so a policy drawing from the
-  simulation RNG interleaves with the jitter draws as in the reference;
+- **lazy verdicts** — a policy without ``verdict_mask`` (gossip, user
+  classes) is asked ``should_rebroadcast`` where the loop would read
+  the bitmap, so a policy drawing from the simulation RNG interleaves
+  with the jitter draws as in the reference;
 - **generic radios** — a radio whose type is not exactly
   :class:`UnitDiskRadio`/:class:`LossyRadio` is asked for its
   ``receptions`` (own delays, own loss draws) and each becomes a
@@ -55,10 +52,7 @@ The same loop covers what a frozen bitmap or an inlined radio cannot:
 
 Lifecycle and invalidation: an :class:`~repro.mesh.APGraph` is
 immutable after construction (bridge deployments build a *new* graph),
-so frozen CSR arrays attached to a graph never go stale.  Routing-side
-mutations bump ``BuildingGraph.version`` and yield *new*
-:class:`~repro.geometry.ConduitPath` values, which miss the
-value-keyed verdict cache naturally; stale entries age out by bound.
+so frozen CSR arrays attached to a graph never go stale.
 """
 
 from __future__ import annotations
@@ -70,15 +64,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry import PolygonColumns, path_overlap_mask
-from ..geometry.columnar import _contains_lanes
 from ..mesh import APGraph
 from ..obs import REGISTRY
 from .broadcast import (
     BroadcastResult,
-    ConduitPolicy,
-    FloodPolicy,
-    PositionConduitPolicy,
     RebroadcastPolicy,
     SimParams,
     record_broadcast_metrics,
@@ -91,9 +80,6 @@ _TRANSMIT = 1
 #: Bound on cached frozen epochs per graph: a scenario run touches one
 #: dead set per epoch and replays it across all of the epoch's flows.
 _EPOCH_CACHE_CAP = 8
-#: Bound on cached verdict masks per city (one per distinct conduit
-#: path: initial flows + replans of a scenario run fit comfortably).
-_VERDICT_CACHE_CAP = 256
 
 #: Flows the kernel ran; surfaces in every ``REGISTRY.snapshot()``.
 _M_COLUMNAR_FLOWS = REGISTRY.counter("sim.columnar.flows")
@@ -145,118 +131,14 @@ def frozen_epoch(graph: APGraph, dead_aps: frozenset[int]) -> FrozenEpoch:
         prefix = np.zeros(len(indices) + 1, dtype=np.int64)
         np.cumsum(keep, out=prefix[1:])
         counts = prefix[indptr[1:]] - prefix[indptr[:-1]]
-        alive_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=alive_indptr[1:])
-        frozen = FrozenEpoch(
-            n=n,
-            indptr=alive_indptr,
-            indices=indices[keep],
-            dead_mask=dead_mask,
-            dead_aps=dead_aps,
-        )
-    else:
-        frozen = FrozenEpoch(
-            n=n,
-            indptr=indptr,
-            indices=indices,
-            dead_mask=dead_mask,
-            dead_aps=dead_aps,
-        )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = indices[keep]
+    frozen = FrozenEpoch(n, indptr, indices, dead_mask, dead_aps)
     if len(cache) >= _EPOCH_CACHE_CAP:
         cache.clear()
     cache[dead_aps] = frozen
     return frozen
-
-
-# ----------------------------------------------------------------------
-# Columnar rebroadcast bitmaps
-# ----------------------------------------------------------------------
-def _city_columns(city) -> tuple[PolygonColumns, list, dict[int, int]]:
-    """The city's footprints as (columns, polygons, building-id -> row)."""
-    cached = getattr(city, "_polygon_columns", None)
-    if cached is not None:
-        return cached
-    polygons = [b.polygon for b in city.buildings]
-    cols = PolygonColumns(polygons)
-    row_of = {b.id: i for i, b in enumerate(city.buildings)}
-    cached = (cols, polygons, row_of)
-    city._polygon_columns = cached
-    return cached
-
-
-def _building_rows(graph: APGraph, city, row_of: dict[int, int]) -> np.ndarray:
-    """Footprint row index per AP, cached per (graph, city)."""
-    cached = getattr(graph, "_columnar_building_rows", None)
-    if cached is not None and cached[0] is city:
-        return cached[1]
-    rows = np.fromiter(
-        (row_of[b] for b in graph.building_id_list()),
-        dtype=np.int64,
-        count=len(graph),
-    )
-    graph._columnar_building_rows = (city, rows)
-    return rows
-
-
-def _conduit_building_mask(policy: ConduitPolicy) -> np.ndarray:
-    """Per-building conduit-overlap verdicts, cached per conduit path."""
-    city = policy.city
-    cols, polygons, _row_of = _city_columns(city)
-    cache = getattr(city, "_verdict_mask_cache", None)
-    if cache is None:
-        cache = {}
-        city._verdict_mask_cache = cache
-    mask = cache.get(policy.conduits)
-    if mask is None:
-        mask = path_overlap_mask(cols, policy.conduits, polygons=polygons)
-        if len(cache) >= _VERDICT_CACHE_CAP:
-            cache.clear()
-        cache[policy.conduits] = mask
-    return mask
-
-
-def _position_verdicts(policy: PositionConduitPolicy, graph: APGraph) -> np.ndarray:
-    """Vectorized ``conduits.contains(ap.position)`` per AP, bit-exact."""
-    px, py = graph.position_arrays()
-    out = np.zeros(len(graph), dtype=bool)
-    for rect in policy.conduits.rects:
-        undecided = ~out
-        if not undecided.any():
-            break
-        if (rect.end - rect.start).norm_sq() == 0.0:
-            # Degenerate disc leg: scalar fallback (hypot-rounding
-            # subtleties live here, and these legs are rare).
-            contains = rect.contains
-            for i in np.nonzero(undecided)[0].tolist():
-                if contains(graph.aps[i].position):
-                    out[i] = True
-        else:
-            out[undecided] |= _contains_lanes(rect, px[undecided], py[undecided])
-    return out
-
-
-def policy_verdict_array(
-    policy: RebroadcastPolicy, graph: APGraph
-) -> np.ndarray | None:
-    """Per-AP rebroadcast verdicts as a bool array, or None.
-
-    ``None`` means the policy cannot be frozen (stateful, user-defined,
-    or a :class:`ConduitPolicy` with a pre-seeded memo whose entries
-    must be honoured) and the kernel evaluates it lazily, one
-    ``should_rebroadcast`` call per fresh receiver.
-    """
-    kind = type(policy)
-    if kind is FloodPolicy:
-        return np.ones(len(graph), dtype=bool)
-    if kind is ConduitPolicy:
-        if policy._memo:
-            return None
-        building_mask = _conduit_building_mask(policy)
-        rows = _building_rows(graph, policy.city, _city_columns(policy.city)[2])
-        return building_mask[rows]
-    if kind is PositionConduitPolicy:
-        return _position_verdicts(policy, graph)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -285,10 +167,9 @@ def run_columnar(
     max_time = params.max_sim_time_s
 
     rng = flow.rng
-    # None: the policy cannot be frozen and is asked per fresh receiver.
-    verdicts = policy_verdict_array(flow.policy, graph)
-    if verdicts is not None:
-        verdicts = verdicts.tobytes()
+    # No mask: the policy is asked per fresh receiver (lazy verdicts).
+    verdict_mask = getattr(flow.policy, "verdict_mask", None)
+    verdicts = verdict_mask(graph).tobytes() if verdict_mask is not None else None
     should_rebroadcast = flow.policy.should_rebroadcast
     aps = graph.aps
     radio_kind = type(radio)

@@ -48,6 +48,20 @@ class TestCommands:
         assert "Figure 6" in out
         assert "gridport" in out
 
+    def test_fig6_unmeasured_deliverability_is_a_dash(self, capsys):
+        """No simulated pair: deliverability is undefined, not 0 %."""
+        code = main(
+            ["fig6", "--reach-pairs", "1", "--delivery-pairs", "0",
+             "--cities", "gridport", "--plot"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = next(line for line in lines if line.startswith("gridport |"))
+        assert [c.strip() for c in row.split("|")] == [
+            "gridport", "1.000", "-", "-", "-", "1/1", "0/0"
+        ]
+        assert lines[-1] == "-"  # the deliverability chart has no bar
+
     def test_fig7(self, capsys):
         assert main(["fig7", "--city", "gridport"]) == 0
         out = capsys.readouterr().out

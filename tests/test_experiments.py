@@ -223,6 +223,14 @@ class TestAblations:
         points = sweep_conduit_width(city_name="gridport", widths=(50.0,), seed=0, pairs=5)
         assert "width" in format_sweep(points, "width (m)", "Conduit width sweep")
 
+    def test_unattempted_point_is_undefined(self):
+        from repro.experiments.ablations import SweepPoint
+
+        point = SweepPoint(50.0, delivered=0, attempted=0, median_overhead=None)
+        assert point.deliverability is None
+        row = format_sweep([point], "width (m)", "sweep").splitlines()[-1]
+        assert [c.strip() for c in row.split("|")] == ["50.000", "-", "-", "0/0"]
+
 
 class TestSecurityExperiment:
     def test_sweep_shape(self, gridport_world):

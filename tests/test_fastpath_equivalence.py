@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import GeocastPolicy, RegionPolicy
 from repro.city import Building, City
-from repro.core import BuildingRouter
+from repro.core import BuildingRouter, ThinnedConduitPolicy
 from repro.experiments import build_world
 from repro.geometry import ConduitPath, Point, Polygon
 from repro.mesh import APGraph, AccessPoint
@@ -98,6 +99,41 @@ class TestPolicyEquivalence:
         assert_identical(
             world.graph, src_ap, dst,
             lambda: PositionConduitPolicy(plan.conduits), seed,
+        )
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_thinned_conduit(self, world, endpoints, plan, p):
+        _, dst, src_ap = endpoints
+        assert_identical(
+            world.graph, src_ap, dst,
+            lambda: ThinnedConduitPolicy(
+                plan.conduits, world.city, plan.header.message_id, p
+            ),
+            seed=3,
+        )
+
+    def test_region_citywide(self, world, endpoints):
+        _, dst, src_ap = endpoints
+        result = assert_identical(
+            world.graph, src_ap, dst, lambda: RegionPolicy(world.city, None), seed=4,
+        )
+        assert result.delivered
+
+    def test_region_scoped(self, world, endpoints):
+        _, dst, src_ap = endpoints
+        min_x, min_y, max_x, max_y = world.city.bounds()
+        zone = Polygon.rectangle(min_x, min_y, (min_x + max_x) / 2, max_y)
+        result = assert_identical(
+            world.graph, src_ap, dst, lambda: RegionPolicy(world.city, zone), seed=4,
+        )
+        assert 1 < result.transmissions <= len(world.graph) // 2
+
+    def test_geocast(self, world, endpoints, plan):
+        _, dst, src_ap = endpoints
+        target = world.city.building(dst).centroid()
+        assert_identical(
+            world.graph, src_ap, dst,
+            lambda: GeocastPolicy(world.city, plan.conduits, target, 120.0), seed=5,
         )
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
@@ -244,20 +280,6 @@ class TestLaneEquivalence:
         assert results[0].transmissions > 1
         for field in RESULT_FIELDS:
             assert getattr(results[0], field) == getattr(results[1], field), field
-
-    def test_conduit_memo_seeded_by_a_prior_run_is_honoured(
-        self, world, endpoints, plan
-    ):
-        src, dst, src_ap = endpoints
-        policies = [ConduitPolicy(plan.conduits, world.city) for _ in range(2)]
-        for policy in policies:
-            simulate_broadcast(
-                world.graph, src_ap, dst, policy, random.Random(0), fast=False
-            )
-            # A memo entry the geometry would contradict: only a lazy
-            # evaluation through the memo reproduces the reference.
-            policy._memo[src] = not policy._memo[src]
-        assert_identical(world.graph, src_ap, dst, policies.pop, seed=2)
 
 
 class TestDeadAPEquivalence:

@@ -3,6 +3,7 @@ their CLI surfaces)."""
 
 import io
 import json
+import subprocess
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.obs import (
     MetricsRegistry,
     RunManifest,
     config_hash,
+    manifest,
     repo_git_sha,
     set_trace_sink,
     span,
@@ -175,10 +177,36 @@ class TestRunManifest:
         assert d["wall_s"] >= 0.0
         assert d["cpu_s"] >= 0.0
 
-    def test_git_sha_found_in_this_repo(self):
-        sha = repo_git_sha()
-        assert sha is not None
-        assert len(sha) == 40
+    @pytest.fixture
+    def fresh_sha(self, monkeypatch):
+        """Forget the memoised SHA for one test (restored afterwards)."""
+        monkeypatch.setattr(manifest, "_GIT_SHA_CACHE", None)
+        monkeypatch.setattr(manifest, "_GIT_SHA_KNOWN", False)
+        for var in ("GIT_DIR", "GIT_WORK_TREE"):
+            monkeypatch.delenv(var, raising=False)
+
+    def test_git_sha_found_in_this_repo(self, tmp_path, monkeypatch, fresh_sha):
+        """A repository of its own, so the test holds outside a checkout."""
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
+               "-c", "commit.gpgsign=false"]
+        subprocess.run(git + ["init", "-q", str(tmp_path)], check=True)
+        (tmp_path / "f").write_text("x")
+        subprocess.run(git + ["-C", str(tmp_path), "add", "f"], check=True)
+        subprocess.run(git + ["-C", str(tmp_path), "commit", "-q", "-m", "one"], check=True)
+        head = subprocess.run(
+            ["git", "-C", str(tmp_path), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        monkeypatch.chdir(tmp_path)
+        assert len(head) == 40
+        assert repo_git_sha() == head
+
+    def test_git_sha_none_outside_a_work_tree(self, tmp_path, monkeypatch, fresh_sha):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        monkeypatch.chdir(plain)
+        assert repo_git_sha() is None
 
     def test_finish_is_idempotent(self):
         m = RunManifest.begin()
