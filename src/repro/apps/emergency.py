@@ -99,10 +99,13 @@ class BroadcastCoverage:
     heard_aps: int
 
     @property
-    def coverage(self) -> float:
-        """Fraction of target buildings with at least one alerted AP."""
+    def coverage(self) -> float | None:
+        """Fraction of target buildings with at least one alerted AP.
+
+        None when there is no target building: undefined, not zero.
+        """
         if self.target_buildings == 0:
-            return 0.0
+            return None
         return self.delivered_buildings / self.target_buildings
 
 

@@ -57,10 +57,13 @@ class GeocastResult:
     transmissions: int
 
     @property
-    def coverage(self) -> float:
-        """Fraction of in-disc buildings that heard the message."""
+    def coverage(self) -> float | None:
+        """Fraction of in-disc buildings that heard the message.
+
+        None when there is no target building: undefined, not zero.
+        """
         if self.target_buildings == 0:
-            return 0.0
+            return None
         return self.covered_buildings / self.target_buildings
 
 

@@ -77,20 +77,6 @@ class GridIndex(Generic[K]):
         for key, position in items:
             self.insert(key, position)
 
-    def copy(self) -> "GridIndex[K]":
-        """An independent clone: same cell size, keys, and bucket order.
-
-        Bucket order is part of the copy contract — consumers that
-        derive neighbour *order* from queries (the AP graph's
-        incremental extension) must see exactly the order a fresh
-        index built by the same insertions would produce.
-        """
-        clone: GridIndex[K] = GridIndex(cell_size=self.cell_size)
-        for cell, bucket in self._cells.items():
-            clone._cells[cell] = list(bucket)
-        clone._positions = dict(self._positions)
-        return clone
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -100,14 +100,14 @@ class Polygon:
             yield Segment(verts[i], verts[(i + 1) % n])
 
     def contains(self, p: Point) -> bool:
-        """Point-in-polygon test (ray casting; boundary counts as inside)."""
+        """Point-in-polygon test: ray casting, or within 1e-9 of an edge.
+
+        Both tests are pure, so the order is free: the cheap ray cast
+        runs first and the boundary pass only for points it puts outside.
+        """
         min_x, min_y, max_x, max_y = self._bbox
         if not (min_x <= p.x <= max_x and min_y <= p.y <= max_y):
             return False
-        # Boundary check first so edge-points are deterministic.
-        for seg in self.edges():
-            if seg.distance_to_point(p) < 1e-9:
-                return True
         inside = False
         verts = self.vertices
         n = len(verts)
@@ -120,7 +120,7 @@ class Polygon:
                 if p.x < x_cross:
                     inside = not inside
             j = i
-        return inside
+        return inside or any(seg.distance_to_point(p) < 1e-9 for seg in self.edges())
 
     def distance_to_point(self, p: Point) -> float:
         """Distance from ``p`` to the polygon (0 if inside)."""

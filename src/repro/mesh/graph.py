@@ -14,15 +14,113 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry import GridIndex, Point
+from ..geometry.index import _BOUND_SLACK
 from . import reach
 from .placement import AccessPoint
 
 DEFAULT_TRANSMISSION_RANGE = 50.0  # metres, the paper's evaluation setting
 
+#: Source APs per block of the neighbour join.  Each block's candidate
+#: arrays hold about ``_JOIN_BLOCK`` times the APs in nine cells, so the
+#: block, not the city, bounds the join's scratch memory (about 0.2 MB
+#: per array).  Much larger blocks would outweigh a small mesh's whole
+#: adjacency at peak; at this size metro-20k builds no slower.
+_JOIN_BLOCK = 256
+
+#: ``numpy.hypot`` and ``math.hypot`` can round apart by an ulp or so;
+#: a pair whose numpy distance lies within this relative band of its
+#: link range is re-decided with ``math.hypot`` (``Point.distance_to``).
+_HYPOT_BAND = 1e-12
+
+
+def _ramp(lengths: np.ndarray) -> np.ndarray:
+    """``0 .. len - 1`` for each length, concatenated."""
+    total = int(lengths.sum())
+    return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _cell_span(c: np.ndarray, radius: np.ndarray, cell_size: float):
+    """:meth:`GridIndex._cell_span` per element: first and last cell, as floats."""
+    lo = (c - radius) / cell_size
+    hi = (c + radius) / cell_size
+    slack = (np.abs(c) + radius) / cell_size * _BOUND_SLACK
+    first = np.floor(lo)
+    last = np.floor(hi)
+    first -= lo - first <= slack
+    last += last + 1 - hi <= slack
+    return first, last
+
+
+def _unit_disk_rows(
+    px: np.ndarray,
+    py: np.ndarray,
+    eff: np.ndarray,
+    cell_size: float,
+    sources: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour rows of ``sources``: ``(counts, indices)``.
+
+    Row ``i`` holds every other AP ``j`` with ``distance <= min(eff[i],
+    eff[j])``, in :meth:`GridIndex.query_radius` order for a grid of
+    ``cell_size`` filled in id order: the cells of ``i``'s radius span,
+    x ascending then y ascending, then ids ascending.  Candidates are
+    exactly the APs in those cells.  With cells ranked ``(x, y)``, the
+    cells of one span column are one run of the rank-sorted APs, so a
+    row is one slice per column and needs no sort.
+    """
+    cx = np.floor(px / cell_size)
+    cy = np.floor(py / cell_size)
+    ux = np.unique(cx)
+    uy = np.unique(cy)
+    keys = np.searchsorted(ux, cx) * len(uy) + np.searchsorted(uy, cy)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    fx, lx = _cell_span(px[sources], eff[sources], cell_size)
+    fy, ly = _cell_span(py[sources], eff[sources], cell_size)
+    col_lo = np.searchsorted(ux, fx, side="left")
+    col_hi = np.searchsorted(ux, lx, side="right")
+    row_lo = np.searchsorted(uy, fy, side="left")
+    row_hi = np.searchsorted(uy, ly, side="right")
+    columns = np.where(row_hi > row_lo, col_hi - col_lo, 0)
+
+    counts = np.zeros(len(sources), dtype=np.int64)
+    rows: list[np.ndarray] = []
+    for b0 in range(0, len(sources), _JOIN_BLOCK):
+        block = np.arange(b0, min(b0 + _JOIN_BLOCK, len(sources)))
+        # One (source, span column) pair per slice of sorted APs.
+        pair = np.repeat(block, columns[block])
+        col = (col_lo[pair] + _ramp(columns[block])) * len(uy)
+        start = np.searchsorted(sorted_keys, col + row_lo[pair])
+        lengths = np.searchsorted(sorted_keys, col + row_hi[pair]) - start
+        owner = np.repeat(pair, lengths)
+        j = order[np.repeat(start, lengths) + _ramp(lengths)]
+        i = sources[owner]
+        dx = px[i] - px[j]
+        dy = py[i] - py[j]
+        link = np.minimum(eff[i], eff[j])
+        dist = np.hypot(dx, dy)
+        keep = dist <= link
+        for k in np.flatnonzero(np.abs(dist - link) <= _HYPOT_BAND * link).tolist():
+            keep[k] = math.hypot(float(dx[k]), float(dy[k])) <= link[k]
+        keep &= i != j
+        counts += np.bincount(owner[keep], minlength=len(sources))
+        rows.append(j[keep].astype(np.int32))
+    return counts, np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
 
 @dataclass
 class APGraph:
     """Unit-disk graph over access points.
+
+    The adjacency is stored only as CSR arrays (:meth:`csr`); list
+    views (:meth:`neighbors`, :meth:`adjacency_lists`) are sliced from
+    them on demand.
 
     Attributes:
         aps: all access points, indexed by their contiguous ids.
@@ -36,8 +134,9 @@ class APGraph:
     #: immutable; the version distinguishes extension generations for
     #: cache keys.
     version: int = field(default=0, init=False)
-    _adjacency: list[list[int]] = field(init=False, repr=False)
-    _index: GridIndex[int] = field(init=False, repr=False)
+    _cell_size: float = field(init=False, repr=False)
+    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
     _by_building: dict[int, list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -52,28 +151,28 @@ class APGraph:
                 if ap.range_m <= 0:
                     raise ValueError(f"AP {ap.id} has non-positive range")
                 max_range = max(max_range, ap.range_m)
-        self._index = GridIndex(cell_size=max(max_range, 1.0))
-        for ap in self.aps:
-            self._index.insert(ap.id, ap.position)
+        self._cell_size = max(max_range, 1.0)
         # Heterogeneous ranges: a usable (bidirectional) link requires
         # each end to hear the other, i.e. distance <= min of the two
         # effective ranges.  With uniform ranges this reduces to the
         # paper's symmetric cutoff.
-        eff = [
-            ap.range_m if ap.range_m is not None else self.transmission_range
-            for ap in self.aps
-        ]
-        self._adjacency = [[] for _ in self.aps]
-        for ap in self.aps:
-            for other_id in self._index.query_radius(ap.position, eff[ap.id]):
-                if other_id == ap.id:
-                    continue
-                link_range = min(eff[ap.id], eff[other_id])
-                if ap.position.distance_to(self.aps[other_id].position) <= link_range:
-                    self._adjacency[ap.id].append(other_id)
+        px, py = self.position_arrays()
+        counts, self._indices = _unit_disk_rows(
+            px, py, self._ranges(), self._cell_size, np.arange(len(self.aps))
+        )
+        self._indptr = _indptr(counts)
         self._by_building = {}
         for ap in self.aps:
             self._by_building.setdefault(ap.building_id, []).append(ap.id)
+
+    def _ranges(self) -> np.ndarray:
+        """Every AP's effective range as a float64 array."""
+        default = self.transmission_range
+        return np.fromiter(
+            (default if ap.range_m is None else ap.range_m for ap in self.aps),
+            dtype=np.float64,
+            count=len(self.aps),
+        )
 
     def effective_range(self, ap_id: int) -> float:
         """The transmission range in force for one AP."""
@@ -88,10 +187,10 @@ class APGraph:
         columnar broadcast kernel aligns RNG draws with adjacency
         order, so byte-identical lists are part of the contract, not a
         nicety).  A fresh build orders each list by the neighbour's
-        grid cell ascending, then by insertion order within the cell's
-        bucket; new APs land at bucket tails, so extension reduces to
-        ordered inserts into the O(degree) affected lists instead of
-        an O(n·degree) rebuild.
+        grid cell ascending (x, then y), then by id; new APs carry the
+        highest ids, so extension joins only the new APs' rows and
+        inserts each new AP into its old neighbours' rows after every
+        entry in a cell <= its own, instead of an O(n·degree) rebuild.
 
         Falls back to a genuine full rebuild only when a new AP's
         override range exceeds the existing grid cell size (a fresh
@@ -110,7 +209,7 @@ class APGraph:
                     "new AP ids must continue contiguously from "
                     f"{n0}, got {ap.id}"
                 )
-        cell_size = self._index.cell_size
+        cell_size = self._cell_size
         needs_rebuild = False
         for ap in new_aps:
             if ap.range_m is not None:
@@ -126,53 +225,40 @@ class APGraph:
         clone.aps = combined
         clone.transmission_range = self.transmission_range
         clone.version = self.version + 1
-        index = self._index.copy()
-        adjacency = [list(a) for a in self._adjacency]
-        adjacency.extend([] for _ in new_aps)
-        by_building = {k: list(v) for k, v in self._by_building.items()}
+        clone._cell_size = cell_size
+        old_x, old_y = self.position_arrays()
+        px = np.concatenate([old_x, [ap.position.x for ap in new_aps]])
+        py = np.concatenate([old_y, [ap.position.y for ap in new_aps]])
+        clone._position_arrays = (px, py)
+        n = len(combined)
+        new_counts, new_rows = _unit_disk_rows(
+            px, py, clone._ranges(), cell_size, np.arange(n0, n)
+        )
+        # Each (old AP w, new AP v) link puts v into w's row, after the
+        # entries whose cell is <= v's (the row is sorted by cell).
+        v_of = np.repeat(np.arange(n0, n), new_counts)
+        old = new_rows < n0
+        w, v = new_rows[old].astype(np.int64), v_of[old]
+        indptr, indices = self.csr()
+        row_len = indptr[w + 1] - indptr[w]
+        entry = np.repeat(np.arange(len(w)), row_len)
+        u = indices[np.repeat(indptr[w], row_len) + _ramp(row_len)]
+        cx = np.floor(px / cell_size)
+        cy = np.floor(py / cell_size)
+        ve = v[entry]
+        before = (cx[u] < cx[ve]) | ((cx[u] == cx[ve]) & (cy[u] <= cy[ve]))
+        at = indptr[w] + np.bincount(entry[before], minlength=len(w))
+        # At one insertion point, the end of row w precedes the start of
+        # row w + 1, and one row's new APs go in (cell, id) order.
+        by = np.lexsort((v, cy[v], cx[v], w, at))
+        clone._indices = np.concatenate(
+            [np.insert(indices, at[by], v[by].astype(np.int32)), new_rows]
+        )
+        old_counts = np.diff(indptr) + np.bincount(w, minlength=n0)
+        clone._indptr = _indptr(np.concatenate([old_counts, new_counts]))
+        by_building = {k: list(val) for k, val in self._by_building.items()}
         for ap in new_aps:
-            index.insert(ap.id, ap.position)
-
-        def eff(ap: AccessPoint) -> float:
-            return ap.range_m if ap.range_m is not None else self.transmission_range
-
-        def cell_of(p: Point) -> tuple[int, int]:
-            return (math.floor(p.x / cell_size), math.floor(p.y / cell_size))
-
-        positions = {ap.id: ap.position for ap in combined}
-        for ap in new_aps:
-            e_v = eff(ap)
-            v_cell = cell_of(ap.position)
-            # The new AP's own list comes straight from a radius query
-            # over the extended index — that IS fresh-build order.
-            own: list[int] = []
-            for other_id in index.query_radius(ap.position, e_v):
-                if other_id == ap.id:
-                    continue
-                other = combined[other_id]
-                link_range = min(e_v, eff(other))
-                if ap.position.distance_to(other.position) > link_range:
-                    continue
-                own.append(other_id)
-                if other_id < n0:
-                    # New-new pairs are covered by each other's radius
-                    # queries; only pre-existing lists need a patch.
-                    # Ordered insert into the lower-id endpoint's list:
-                    # after every neighbour in a cell <= the new AP's
-                    # (equal-cell existing entries precede bucket-tail
-                    # newcomers; earlier new APs were inserted first,
-                    # matching their bucket order).
-                    lst = adjacency[other_id]
-                    pos = len(lst)
-                    for idx, w in enumerate(lst):
-                        if cell_of(positions[w]) > v_cell:
-                            pos = idx
-                            break
-                    lst.insert(pos, ap.id)
-            adjacency[ap.id] = own
             by_building.setdefault(ap.building_id, []).append(ap.id)
-        clone._adjacency = adjacency
-        clone._index = index
         clone._by_building = by_building
         return clone
 
@@ -183,51 +269,34 @@ class APGraph:
         return len(self.aps)
 
     def neighbors(self, ap_id: int) -> list[int]:
-        """Ids of APs within transmission range of ``ap_id``."""
-        return self._adjacency[ap_id]
+        """Ids of APs within transmission range of ``ap_id`` (a fresh list)."""
+        starts = getattr(self, "_row_starts", None)
+        if starts is None:
+            starts = self._row_starts = self._indptr.tolist()
+        return self._indices[starts[ap_id] : starts[ap_id + 1]].tolist()
 
     def degree(self, ap_id: int) -> int:
         """Number of one-hop neighbours."""
-        return len(self._adjacency[ap_id])
+        return int(self._indptr[ap_id + 1] - self._indptr[ap_id])
 
     def position(self, ap_id: int) -> Point:
         """Planar position of an AP."""
         return self.aps[ap_id].position
 
     def adjacency_lists(self) -> list[list[int]]:
-        """The full integer adjacency structure, indexed by AP id.
-
-        This is the graph's own storage (do not mutate); array consumers
-        such as the broadcast kernel read :meth:`csr` instead.
-        """
-        return self._adjacency
+        """The full adjacency as fresh lists, indexed by AP id."""
+        return [self.neighbors(i) for i in range(len(self.aps))]
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency as int32 CSR ``(indptr, indices)``, built once.
+        """The adjacency as CSR ``(indptr, indices)``: int64 and int32.
 
         ``indices[indptr[i]:indptr[i+1]]`` are AP ``i``'s neighbours in
         exactly the order of :meth:`neighbors` — columnar consumers
         (the broadcast kernel, island BFS) rely on that order for
-        RNG-draw alignment.  The graph is immutable after construction,
-        so the arrays never go stale.
+        RNG-draw alignment.  These arrays are the graph's own storage:
+        do not mutate them.
         """
-        cached = getattr(self, "_csr", None)
-        if cached is None:
-            counts = np.fromiter(
-                (len(a) for a in self._adjacency),
-                dtype=np.int64,
-                count=len(self._adjacency),
-            )
-            indptr = np.zeros(len(self._adjacency) + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.fromiter(
-                (v for a in self._adjacency for v in a),
-                dtype=np.int32,
-                count=int(indptr[-1]),
-            )
-            cached = (indptr, indices)
-            self._csr = cached
-        return cached
+        return self._indptr, self._indices
 
     def position_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """AP positions as flat ``(x, y)`` float64 arrays, built once."""
@@ -258,11 +327,15 @@ class APGraph:
 
     def aps_within(self, center: Point, radius: float) -> list[int]:
         """Ids of APs within ``radius`` of an arbitrary point."""
-        return self._index.query_radius(center, radius)
+        index = getattr(self, "_index", None)
+        if index is None:
+            index = self._index = GridIndex(cell_size=self._cell_size)
+            index.extend((ap.id, ap.position) for ap in self.aps)
+        return index.query_radius(center, radius)
 
     def edge_count(self) -> int:
         """Number of undirected links in the mesh."""
-        return sum(len(a) for a in self._adjacency) // 2
+        return int(self._indptr[-1]) // 2
 
     # ------------------------------------------------------------------
     # Path queries (ground-truth oracles used for evaluation only; each

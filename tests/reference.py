@@ -8,6 +8,10 @@
   search of ``repro.mesh.reach``.
 - :class:`ReferenceAliveState`: the scenario driver's alive-AP rules on
   Python sets with scalar point-in-polygon tests, against its masks.
+- :func:`reference_unit_disk`: the AP mesh built with one grid radius
+  query per AP, against ``APGraph``'s vectorised grid join.
+- :func:`reference_contains`: point-in-polygon with the boundary pass
+  before the ray cast, against ``Polygon.contains``.
 """
 
 import math
@@ -16,6 +20,7 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.experiments import seed_for
+from repro.geometry import GridIndex
 from repro.mesh import PowerProfile, PowerSource, assign_power_profiles
 
 
@@ -98,6 +103,48 @@ def reference_components(adjacency, alive):
                     queue.append(v)
         comps.append(comp)
     return comps
+
+
+def reference_unit_disk(aps, transmission_range):
+    """The unit-disk adjacency lists of ``aps``, one radius query per AP.
+
+    A grid of cell size ``max(max range, 1)`` filled in id order; AP
+    ``i``'s list is its :meth:`GridIndex.query_radius` result at its own
+    range, minus itself and every AP farther than the smaller of the two
+    ranges, in query order.
+    """
+    eff = [transmission_range if ap.range_m is None else ap.range_m for ap in aps]
+    index = GridIndex(cell_size=max([transmission_range, 1.0, *eff]))
+    for ap in aps:
+        index.insert(ap.id, ap.position)
+    adjacency = [[] for _ in aps]
+    for ap in aps:
+        for other in index.query_radius(ap.position, eff[ap.id]):
+            if other == ap.id:
+                continue
+            if ap.position.distance_to(aps[other].position) <= min(eff[ap.id], eff[other]):
+                adjacency[ap.id].append(other)
+    return adjacency
+
+
+def reference_contains(polygon, p):
+    """Point-in-polygon, boundary pass first: within 1e-9 of an edge is
+    inside, otherwise the ray-casting parity decides."""
+    min_x, min_y, max_x, max_y = polygon.bbox
+    if not (min_x <= p.x <= max_x and min_y <= p.y <= max_y):
+        return False
+    if any(seg.distance_to_point(p) < 1e-9 for seg in polygon.edges()):
+        return True
+    inside = False
+    verts = polygon.vertices
+    j = len(verts) - 1
+    for i in range(len(verts)):
+        vi, vj = verts[i], verts[j]
+        if (vi.y > p.y) != (vj.y > p.y):
+            if p.x < vj.x + (p.y - vj.y) * (vi.x - vj.x) / (vi.y - vj.y):
+                inside = not inside
+        j = i
+    return inside
 
 
 class ReferenceAliveState:

@@ -61,9 +61,7 @@ def _geocast(world):
 OUTPUTS = {
     # Paper, two suppression thresholds and hash thinning at p=0.5.
     "overhead_reduction": (
-        lambda _: _bench("bench_overhead_reduction").run_reduction_comparison(
-            build_world("gridport", seed=0), pairs=20
-        ),
+        lambda _: _bench("bench_overhead_reduction").reduction_table(),
         "8dd8f1422ceca3c2",
     ),
     "alert_citywide": (lambda w: _alert(w, None), "bba0def86e90452f"),
@@ -76,3 +74,14 @@ OUTPUTS = {
 def test_policy_output_pinned(gridport, name):
     build, pin = OUTPUTS[name]
     assert config_hash(build(gridport)) == pin
+
+
+def test_reduction_table_ignores_earlier_routes():
+    """Routes planned on a shared world before the bench move the table
+    on that world, and leave the bench's own table alone."""
+    shared = build_world("gridport", seed=0)
+    _alert(shared, None)
+    _geocast(shared)
+    bench = _bench("bench_overhead_reduction")
+    assert config_hash(bench.run_reduction_comparison(shared, pairs=20)) == "78ad0b761efc9fb3"
+    assert config_hash(bench.reduction_table()) == OUTPUTS["overhead_reduction"][1]

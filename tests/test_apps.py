@@ -77,10 +77,15 @@ class TestEmergencyBroadcast:
     def test_coverage_zero_targets(self):
         from repro.apps.emergency import BroadcastCoverage
 
-        assert BroadcastCoverage(0, 0, 0, 0).coverage == 0.0
+        assert BroadcastCoverage(0, 0, 0, 0).coverage is None
 
 
 class TestGeocast:
+    def test_coverage_zero_targets(self):
+        from repro.apps.geocast import GeocastResult
+
+        assert GeocastResult(False, 0, 0, 0).coverage is None
+
     def test_radius_validation(self, world):
         city, graph, router = world
         with pytest.raises(ValueError):

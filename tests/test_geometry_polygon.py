@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.city import l_shaped_building, rotated_rectangle
 from repro.geometry import Point, Polygon, Segment
+
+from .reference import reference_contains
 
 UNIT_SQUARE = Polygon.rectangle(0, 0, 1, 1)
 
@@ -102,6 +105,76 @@ class TestContains:
         assert l_shape.contains(Point(0.5, 1.5))
         assert l_shape.contains(Point(1.5, 0.5))
         assert not l_shape.contains(Point(1.5, 1.5))
+
+
+coord = st.floats(min_value=-500, max_value=500, allow_nan=False)
+size = st.floats(min_value=0.5, max_value=60)
+
+
+@st.composite
+def star_polygons(draw):
+    """A random simple polygon: sorted angles, random radii."""
+    center = draw(st.builds(Point, coord, coord))
+    angles = sorted(set(draw(st.lists(st.floats(0, 2 * math.pi, exclude_max=True), min_size=3, max_size=9))))
+    if len(angles) < 3:
+        angles = [0.0, 2.0, 4.0]
+    radii = draw(st.lists(size, min_size=len(angles), max_size=len(angles)))
+    return Polygon(
+        [Point(center.x + r * math.cos(a), center.y + r * math.sin(a)) for a, r in zip(angles, radii)]
+    )
+
+
+polygons = st.one_of(
+    star_polygons(),
+    st.builds(
+        lambda x, y, w, h, notch: l_shaped_building(x, y, x + w, y + h, notch),
+        coord,
+        coord,
+        size,
+        size,
+        st.floats(0.05, 0.95),
+    ),
+    # Old-town footprints: rectangles at any rotation.
+    st.builds(
+        lambda c, w, h, angle: rotated_rectangle(c, w, h, angle),
+        st.builds(Point, coord, coord),
+        size,
+        size,
+        st.floats(0, math.pi),
+    ),
+)
+
+
+def probes(polygon, ts, fractions):
+    """Vertices, points ``ts`` along each edge and nudged 1e-9 either
+    way in y, points spread over the bbox padded by 10 %, and the bbox
+    corners moved one ulp outward."""
+    points = list(polygon.vertices)
+    for seg in polygon.edges():
+        for t in ts:
+            p = seg.a.lerp(seg.b, t)
+            points += [p, Point(p.x, p.y + 1e-9), Point(p.x, p.y - 1e-9)]
+    min_x, min_y, max_x, max_y = polygon.bbox
+    w, h = max_x - min_x, max_y - min_y
+    points += [Point(min_x - 0.1 * w + u * 1.2 * w, min_y - 0.1 * h + v * 1.2 * h) for u, v in fractions]
+    lo_x, lo_y = math.nextafter(min_x, -math.inf), math.nextafter(min_y, -math.inf)
+    hi_x, hi_y = math.nextafter(max_x, math.inf), math.nextafter(max_y, math.inf)
+    points += [Point(lo_x, min_y), Point(min_x, lo_y), Point(hi_x, max_y), Point(max_x, hi_y)]
+    return points
+
+
+class TestContainsOrder:
+    """Ray cast first and boundary pass second decides like boundary first."""
+
+    @given(
+        polygons,
+        st.lists(st.floats(0, 1), min_size=1, max_size=4),
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_boundary_first(self, polygon, ts, fractions):
+        points = probes(polygon, ts, fractions)
+        assert [polygon.contains(p) for p in points] == [reference_contains(polygon, p) for p in points]
 
 
 class TestDistances:

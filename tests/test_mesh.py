@@ -20,6 +20,8 @@ from repro.mesh import (
 )
 from repro.mesh.reach import hops_to
 
+from .reference import reference_unit_disk
+
 
 def line_of_aps(xs, building_id=1):
     return [AccessPoint(i, Point(x, 0.0), building_id) for i, x in enumerate(xs)]
@@ -363,3 +365,48 @@ class TestWithAddedAps:
     def test_empty_batch_returns_self(self):
         _, base = self._world()
         assert base.with_added_aps([]) is base
+
+
+@st.composite
+def unit_disk_cases(draw):
+    """A default range, up to 60 APs and a split point for a batch.
+
+    Coordinates are either snapped to a step that divides the range (so
+    pairs sit exactly ``range`` apart, points repeat and sit on cell
+    borders) or free floats, negative ones included; override ranges
+    mix sub-metre values (cell size 1 m) with values above the
+    default (cell size grows, and a batch AP can exceed the base's).
+    """
+    transmission_range = draw(st.sampled_from([50.0, 7.5, 1.0, 0.6]))
+    step = transmission_range / draw(st.sampled_from([1, 2, 5]))
+    coord = st.one_of(
+        st.integers(-6, 6).map(lambda k: k * step),
+        st.floats(-4 * transmission_range, 4 * transmission_range, allow_nan=False),
+    )
+    range_m = st.one_of(
+        st.none(),
+        st.sampled_from([0.4, 0.9, transmission_range, 1.5 * transmission_range, 3.0 * transmission_range]),
+    )
+    specs = draw(st.lists(st.tuples(coord, coord, range_m), max_size=60))
+    aps = [AccessPoint(i, Point(x, y), i % 3, range_m=r) for i, (x, y, r) in enumerate(specs)]
+    return transmission_range, aps, draw(st.integers(0, len(aps)))
+
+
+class TestUnitDiskOracle:
+    """The grid join against one radius query per AP: same lists, same order."""
+
+    @given(unit_disk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_fresh_build_matches_radius_queries(self, case):
+        transmission_range, aps, _ = case
+        graph = APGraph(aps, transmission_range=transmission_range)
+        assert graph.adjacency_lists() == reference_unit_disk(aps, transmission_range)
+
+    @given(unit_disk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_added_batch_matches_radius_queries(self, case):
+        transmission_range, aps, split = case
+        base = APGraph(aps[:split], transmission_range=transmission_range)
+        extended = base.with_added_aps(aps[split:])
+        assert extended.adjacency_lists() == reference_unit_disk(aps, transmission_range)
+        assert base.adjacency_lists() == reference_unit_disk(aps[:split], transmission_range)
