@@ -1,6 +1,5 @@
 """The §2 war-driving measurement study and its analysis pipeline."""
 
-from .crowdsourced import crowdsourced_survey
 from .analysis import (
     ap_sighting_locations,
     common_ap_bins,
@@ -29,7 +28,6 @@ __all__ = [
     "buildings_along",
     "common_ap_bins",
     "common_ap_pairs",
-    "crowdsourced_survey",
     "grid_walk",
     "line_walk",
     "location_spread",

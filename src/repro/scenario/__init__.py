@@ -8,7 +8,7 @@ engine re-derives the alive mesh, patches the routing map, replans
 broken flows, and scores end-to-end delivery.
 """
 
-from .driver import ScenarioDriver, ScenarioFlowTrial, run_scenario
+from .driver import ScenarioDriver, run_scenario
 from .events import (
     APChurn,
     Damage,
@@ -45,7 +45,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioDriver",
     "ScenarioEvent",
-    "ScenarioFlowTrial",
     "ScenarioResult",
     "ScenarioSpec",
     "check_invariants",

@@ -1,30 +1,35 @@
 """The scenario driver: step a world through a disaster timeline.
 
-Per epoch the driver
+``_step`` runs five stages per epoch, each inside its own span under
+``scenario.epoch``:
 
-1. applies the events pinned to that epoch (outages start/end, damage
-   lands, churn draws, operators deploy bridge APs),
-2. derives the alive-AP mask from power runtimes, destruction, and
-   churn — all kept as per-AP arrays, with each outage's covered-AP
-   mask computed once when it fires — and labels the alive mesh's
-   islands with :func:`~repro.mesh.island_labels`; the dead APs reach
-   :func:`~repro.sim.simulate_broadcast_batch` as its ``dead_aps``, so
-   no per-epoch graph rebuilds,
-3. patches the building graph in one :meth:`~repro.buildgraph.\
-BuildingGraph.patch` call (exactly one version bump per mutating
-   epoch, so the route cache invalidates once, not per casualty),
-4. replans flows whose routes broke (or that never had one), fails the
-   source AP over to the building's first alive AP, and
-5. scores every flow end to end — reachability through the alive mesh
-   and actual delivery via the broadcast simulator — into an
-   :class:`~repro.scenario.model.EpochReport`.
+1. **events** (``scenario.events``) applies the events pinned to the
+   epoch: outages start and end, damage lands, churn draws, operators
+   deploy bridge APs.  The alive state is kept as per-AP arrays, and
+   each outage's covered-AP mask is computed once, when it fires.
+2. **patch** (``scenario.patch``) removes the epoch's damaged buildings
+   and adds its bridge links in one :meth:`~repro.buildgraph.\
+BuildingGraph.patch` call, so the graph version (and with it the route
+   cache) moves at most once per epoch.
+3. **replan** (``scenario.replan``) moves each mobile flow to its
+   endpoints for the epoch and replans every flow whose route broke,
+   moved or never existed: one
+   :meth:`~repro.core.BuildingRouter.plan_batch` for the static flows,
+   then one for the mobile flows.
+4. **islands** (``scenario.islands``) derives the alive-AP mask and
+   labels the alive mesh's islands with :func:`~repro.mesh.island_labels`.
+5. **simulate** (``scenario.simulate``) scores each flow's
+   reachability from the labels, then broadcasts every routable flow
+   whose source building still has an alive AP (the first one sends).
+   Each flow carries its plan's own conduits and its own
+   :func:`~repro.experiments.seed_for` seed, and the epoch's flows run
+   as one :func:`~repro.sim.simulate_broadcast_batch` call, or one
+   :func:`~repro.sim.simulate_traffic_batch` call under a congestion
+   window.  The dead APs reach the kernel as its ``dead_aps``, so no
+   epoch rebuilds the mesh.
 
-Everything runs in one process, epoch by epoch.  An epoch's flows go
-to the :class:`~repro.experiments.TrialRunner` as one
-:class:`ScenarioEpochBatch`: the epoch's mesh (the world's mesh plus
-every bridge AP deployed so far), its dead set, and per flow the
-waypoints and its own :func:`~repro.experiments.seed_for` seed, so a
-flow's result does not depend on the flows beside it.
+The stages report into one :class:`~repro.scenario.model.EpochReport`.
+Everything runs in one process, epoch by epoch.
 """
 
 from __future__ import annotations
@@ -35,13 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RoutePlan, conduits_for_waypoints
-from ..experiments import (
-    TrialRunner,
-    World,
-    sample_building_pairs,
-    seed_for,
-)
+from ..core import RoutePlan
+from ..experiments import TrialRunner, sample_building_pairs, seed_for
 from ..geometry import Point, Polygon, contains_mask
 from ..measurement import Trajectory, buildings_along, random_walk
 from ..mesh import (
@@ -63,102 +63,25 @@ from ..sim import (
 from .events import APChurn, Damage, DeployBridges, GridOutage, PowerRestored
 from .model import EpochReport, ScenarioResult, ScenarioSpec
 
-@dataclass(frozen=True)
-class ScenarioFlowTrial:
-    """One flow's broadcast simulation at one epoch.
 
-    The waypoints are the flow's compressed route header; conduits are
-    rebuilt from the shared map, exactly as a real AP would.
+@dataclass
+class _Flow:
+    """One row of the driver's flow table.
+
+    ``pair`` is the (source, destination) building at the current
+    epoch.  A static flow keeps it; a mobile flow reads it from
+    ``tracks`` (its source and destination building per epoch).
+    ``plan`` is the last route planned for ``pair`` and ``version`` the
+    building-graph version it was last checked against; a ``None`` plan
+    with a version set means the pair was unroutable at that version.
+    ``stream`` is the flow's seed stream.
     """
 
-    src_building: int
-    dst_building: int
-    source_ap: int
-    waypoint_ids: tuple[int, ...]
-    conduit_width: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ScenarioEpochBatch:
-    """All of one epoch's flow trials, run as a single work item.
-
-    Every trial of an epoch shares the mesh and the dead set, so
-    running them together freezes the world (CSR adjacency, dead mask,
-    conduit verdict bitmaps) exactly once per epoch instead of once per
-    flow.  ``graph`` is the driver's mesh at this epoch: the world's
-    mesh extended with every bridge AP deployed so far.
-
-    When ``congestion_window_s`` is set the epoch's flows share the
-    air: every trial is injected within that many seconds (its start
-    drawn from its own trial seed) and the whole batch runs through
-    :func:`~repro.sim.simulate_traffic_batch` under the
-    overlap-collision MAC, so a saturating window degrades delivery.
-    ``None`` (the default) keeps the private-air broadcast per flow —
-    byte-identical to the pre-congestion driver.
-    """
-
-    graph: APGraph
-    dead_aps: frozenset[int]
-    trials: tuple[ScenarioFlowTrial, ...]
-    congestion_window_s: float | None = None
-    congestion_frame_s: float | None = None
-    congestion_seed: int = 0
-
-
-def scenario_epoch_batch(
-    world: World, batch: ScenarioEpochBatch
-) -> list[tuple[bool, int]]:
-    """Run an epoch's flows through one frozen world.
-
-    Per-flow results are byte-identical to one
-    :func:`~repro.sim.simulate_broadcast` call per trial — the batch
-    only shares frozen state, never RNG streams (each trial still seeds
-    its own generator).  With a congestion window set, flows instead
-    contend for the shared channel (see :class:`ScenarioEpochBatch`).
-    """
-    if not batch.trials:
-        return []
-    graph = batch.graph
-    flows = []
-    for trial in batch.trials:
-        centroids = [
-            world.city.building(b).centroid() for b in trial.waypoint_ids
-        ]
-        conduits = conduits_for_waypoints(centroids, trial.conduit_width)
-        flows.append(
-            FlowSpec(
-                source_ap=trial.source_ap,
-                dest_building=trial.dst_building,
-                policy=ConduitPolicy(conduits, world.city),
-                rng=random.Random(trial.seed),
-            )
-        )
-    if batch.congestion_window_s is not None:
-        window = batch.congestion_window_s
-        # Each flow's injection instant comes from its own trial seed
-        # (stable whatever the batch order); the collision-jitter RNG
-        # is the epoch's dedicated congestion stream.
-        start_times = [
-            random.Random(trial.seed).uniform(0.0, window) if window > 0 else 0.0
-            for trial in batch.trials
-        ]
-        frame = (
-            batch.congestion_frame_s
-            if batch.congestion_frame_s is not None
-            else DEFAULT_TX_DELAY_S
-        )
-        outcomes = simulate_traffic_batch(
-            graph,
-            flows,
-            start_times,
-            random.Random(batch.congestion_seed),
-            frame_time_s=frame,
-            dead_aps=batch.dead_aps,
-        )
-        return [(o.delivered, o.transmissions) for o in outcomes]
-    results = simulate_broadcast_batch(graph, flows, dead_aps=batch.dead_aps)
-    return [(r.delivered, r.transmissions) for r in results]
+    pair: tuple[int, int]
+    stream: str
+    tracks: tuple[list[int], list[int]] | None = None
+    plan: RoutePlan | None = None
+    version: int | None = None
 
 
 class ScenarioDriver:
@@ -166,26 +89,16 @@ class ScenarioDriver:
 
     Args:
         spec: the timeline to run.
-        runner: trial runner for the per-epoch broadcast batch; one is
-            created (and owned) when omitted.
-        world: a prebuilt world to drive instead of building
-            ``spec.world`` — for worlds with no preset (benchmarks,
-            OSM imports); ``spec.world`` then only labels seeds.
+        runner: accepted for callers that hold a
+            :class:`~repro.experiments.TrialRunner`; the driver runs
+            every epoch in-process and never calls it.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        runner: TrialRunner | None = None,
-        world: World | None = None,
-    ):
+    def __init__(self, spec: ScenarioSpec, runner: TrialRunner | None = None):
         self.spec = spec
-        self._runner = runner if runner is not None else TrialRunner(workers=1)
-        self._owns_runner = runner is None
-        self.world = world if world is not None else spec.world.build()
+        self.world = spec.world.build()
         base_seed = spec.world.seed
         stream = spec.stream()
-        self._flow_stream = stream + ":flow"
         # Construction randomness: every stream is keyed off the spec,
         # never off a shared sequential RNG.
         profiles = assign_power_profiles(
@@ -195,29 +108,21 @@ class ScenarioDriver:
             generator_fraction=spec.generator_fraction,
             battery_hours_range=spec.battery_hours_range,
         )
-        self.flows: list[tuple[int, int]] = sample_building_pairs(
-            self.world,
-            spec.flows,
-            random.Random(seed_for(base_seed, 0, stream + ":pairs")),
-        )
-        # Mobile flows: each gets two seeded walkers (source and
-        # destination) whose trajectories stretch over the timeline;
-        # per-epoch positions snap to AP-bearing buildings.  Their
-        # randomness lives on dedicated streams so the static flows
-        # above draw exactly what they always did.
-        self._mobile_flow_stream = stream + ":mobileflow"
-        self._mobile_tracks: list[tuple[list[int], list[int]]] = (
-            self._walk_mobile_tracks(base_seed, stream)
-        )
-        self._mobile_pairs: list[tuple[int, int] | None] = [None] * len(
-            self._mobile_tracks
-        )
-        self._mobile_plans: list[RoutePlan | None] = [None] * len(
-            self._mobile_tracks
-        )
-        self._mobile_versions: list[int | None] = [None] * len(
-            self._mobile_tracks
-        )
+        # The flow table, in two parts that keep their own seed streams
+        # and replan as two batches.  Mobile flows draw on streams of
+        # their own, so the static flows draw what they always did.
+        self._static = [
+            _Flow(pair, stream + ":flow")
+            for pair in sample_building_pairs(
+                self.world,
+                spec.flows,
+                random.Random(seed_for(base_seed, 0, stream + ":pairs")),
+            )
+        ]
+        self._mobile = [
+            _Flow((src[0], dst[0]), stream + ":mobileflow", (src, dst))
+            for src, dst in self._walk_mobile_tracks(base_seed, stream)
+        ]
         # Timeline state, one array slot per AP of ``self.graph``.
         self.graph: APGraph = self.world.graph  # extended at deploys
         n = len(self.graph.aps)
@@ -229,10 +134,6 @@ class ScenarioDriver:
         self._churn_until = np.zeros(n, dtype=np.int64)  # recovery epoch
         # (region, start epoch, covered-AP mask) per active outage.
         self._outages: list[tuple[Polygon | None, int, np.ndarray]] = []
-        # Flow routing state: last plan + the graph version it was
-        # validated against (None plan = known-unroutable then).
-        self._plans: list[RoutePlan | None] = [None] * len(self.flows)
-        self._plan_versions: list[int | None] = [None] * len(self.flows)
         #: wall-clock seconds per stepped epoch (filled by :meth:`run`);
         #: benchmark-only — never part of the deterministic result.
         self.epoch_wall_s: list[float] = []
@@ -241,8 +142,7 @@ class ScenarioDriver:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._owns_runner:
-            self._runner.close()
+        """Nothing to release; kept for the context-manager protocol."""
 
     def __enter__(self) -> "ScenarioDriver":
         return self
@@ -465,13 +365,15 @@ buildings_along` stretches each walk over the timeline and snaps every
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _refresh_plans(self) -> int:
-        """Replan flows whose last route broke; returns the replan count.
+    def _refresh_plans(self, table: list[_Flow], epoch: int) -> int:
+        """Move one table's flows to this epoch and replan the broken.
 
         A sender replans lazily: only when it has no valid route yet
         (initial epoch, or it was unroutable and the map changed — a
-        bridge may have appeared) or when any building of its cached
-        route vanished from the map.  Validation runs over the full
+        bridge may have appeared), when any building of its cached
+        route vanished from the map, or when a mobile flow's walker
+        moved to another building (its old plan no longer starts or
+        ends where it stands).  Validation runs over the full
         uncompressed route, not just the waypoints: a compressed
         two-waypoint header can span destroyed intermediates whose
         conduit now crosses a dead zone.  A surviving route is kept
@@ -479,80 +381,49 @@ buildings_along` stretches each walk over the timeline and snaps every
 
         All stale flows replan through one
         :meth:`~repro.core.BuildingRouter.plan_batch` call, which runs
-        a single Dijkstra tree per distinct source instead of one
-        point-to-point search per flow.  Unroutable flows stay counted
-        as replan *attempts* (they consumed planner work), matching the
-        old per-flow accounting.
+        a single Dijkstra tree per distinct source.  Unroutable flows
+        count as replans too: they cost planner work.
         """
         bg = self.world.building_graph
         version = bg.version
-        stale: list[int] = []
-        for i, (src, dst) in enumerate(self.flows):
-            if self._plan_versions[i] == version:
+        stale: list[_Flow] = []
+        for flow in table:
+            if flow.tracks is not None:
+                pair = (flow.tracks[0][epoch], flow.tracks[1][epoch])
+                if pair != flow.pair:
+                    flow.pair, flow.plan, flow.version = pair, None, None
+            if flow.version == version:
                 continue
-            plan = self._plans[i]
-            if plan is not None and all(b in bg for b in plan.route):
-                self._plan_versions[i] = version
+            if flow.plan is not None and all(b in bg for b in flow.plan.route):
+                flow.version = version
                 continue
-            stale.append(i)
+            stale.append(flow)
         if not stale:
             return 0
-        planned = self.world.router.plan_batch([self.flows[i] for i in stale])
-        for i in stale:
-            self._plans[i] = planned.get(self.flows[i])
-            self._plan_versions[i] = version
+        planned = self.world.router.plan_batch([flow.pair for flow in stale])
+        for flow in stale:
+            flow.plan = planned.get(flow.pair)
+            flow.version = version
         return len(stale)
 
-    def _refresh_mobile_plans(self, epoch: int) -> int:
-        """Advance mobile endpoints to this epoch and replan the broken.
+    # ------------------------------------------------------------------
+    # Stages
+    # ------------------------------------------------------------------
+    def _events(
+        self, epoch: int
+    ) -> tuple[list[str], list[int], list[tuple[int, int]], int]:
+        """Apply this epoch's events.
 
-        Same lazy discipline as :meth:`_refresh_plans`, with one extra
-        invalidation source: a walker that moved to a different
-        building drops its cached route (its old plan no longer starts
-        or ends where it stands).  Unroutable pairs still count as
-        replan attempts.
+        Returns the fired events' descriptions, the buildings to remove
+        from routing, the bridge links to announce and the number of
+        APs deployed.
         """
-        if not self._mobile_tracks:
-            return 0
-        bg = self.world.building_graph
-        version = bg.version
-        stale: list[int] = []
-        for j, (src_track, dst_track) in enumerate(self._mobile_tracks):
-            pair = (src_track[epoch], dst_track[epoch])
-            if pair != self._mobile_pairs[j]:
-                self._mobile_pairs[j] = pair
-                self._mobile_plans[j] = None
-                self._mobile_versions[j] = None
-            if self._mobile_versions[j] == version:
-                continue
-            plan = self._mobile_plans[j]
-            if plan is not None and all(b in bg for b in plan.route):
-                self._mobile_versions[j] = version
-                continue
-            stale.append(j)
-        if not stale:
-            return 0
-        planned = self.world.router.plan_batch(
-            [self._mobile_pairs[j] for j in stale]
-        )
-        for j in stale:
-            self._mobile_plans[j] = planned.get(self._mobile_pairs[j])
-            self._mobile_versions[j] = version
-        return len(stale)
-
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-    def _step(self, epoch: int) -> EpochReport:
-        spec = self.spec
-        bg = self.world.building_graph
-        before = bg.stats()
         fired: list[str] = []
         removals: list[int] = []
         links: list[tuple[int, int]] = []
-        deployed_now = 0
+        deployed = 0
         with span("scenario.events", epoch=epoch):
-            for ev in spec.events:
+            for ev in self.spec.events:
                 if isinstance(ev, APChurn):
                     # Windows fire every epoch they span, not at start.
                     if ev.epoch <= epoch <= ev.until_epoch:
@@ -570,130 +441,153 @@ buildings_along` stretches each walk over the timeline and snaps every
                     removals.extend(self._apply_damage(ev))
                 elif isinstance(ev, DeployBridges):
                     count, new_links = self._apply_bridges(ev, epoch)
-                    deployed_now += count
+                    deployed += count
                     links.extend(new_links)
-        # Events are gathered one by one but patched together: two damage
-        # areas may cover the same building, and a bridge may anchor on
-        # a building this very epoch's damage removes.
+        return fired, removals, links, deployed
+
+    def _patch(
+        self, epoch: int, removals: list[int], links: list[tuple[int, int]]
+    ) -> bool:
+        """Apply the epoch's map changes in one patch; True if it mutated.
+
+        Events are gathered one by one but patched together: two damage
+        areas may cover the same building, and a bridge may anchor on a
+        building this very epoch's damage removes.
+        """
         removals = list(dict.fromkeys(removals))
         gone = set(removals)
         links = [(a, b) for a, b in links if a not in gone and b not in gone]
         with span("scenario.patch", epoch=epoch):
-            mutated = bg.patch(remove=removals, add_links=links)
+            return self.world.building_graph.patch(remove=removals, add_links=links)
+
+    def _replan(self, epoch: int) -> int:
+        """Refresh the static flows' plans, then the mobile flows'."""
         with span("scenario.replan", epoch=epoch):
-            replans = self._refresh_plans() + self._refresh_mobile_plans(
-                epoch
+            return self._refresh_plans(self._static, epoch) + self._refresh_plans(
+                self._mobile, epoch
             )
 
+    def _islands(self, epoch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The alive-AP mask, and the island label per AP and island sizes."""
         with span("scenario.islands", epoch=epoch):
             alive = self._alive_mask(epoch)
             labels, sizes = island_labels(self.graph, alive)
-        alive_count = int(np.count_nonzero(alive))
-        REGISTRY.gauge("scenario.alive_aps").set(alive_count)
+        REGISTRY.gauge("scenario.alive_aps").set(int(np.count_nonzero(alive)))
+        return alive, labels, sizes
 
-        dead = frozenset(np.flatnonzero(~alive).tolist())
-        trials: list[ScenarioFlowTrial] = []
-        routable = 0
-        reachable = 0
+    def _simulate(
+        self, epoch: int, alive: np.ndarray, labels: np.ndarray
+    ) -> tuple[int, int, int, int, int]:
+        """Score and broadcast every flow.
 
-        def score_flow(
-            src: int, dst: int, plan: RoutePlan | None, seed: int
-        ) -> None:
-            nonlocal routable, reachable
-            if plan is not None:
+        Returns the routable, reachable, simulated and delivered flow
+        counts and the transmissions spent.  A flow is reachable when
+        an alive AP of its source building shares an island with one of
+        its destination building.  It is simulated when it has a plan
+        and its source building an alive AP, the first of which sends.
+        """
+        spec = self.spec
+        routable = reachable = 0
+        sends: list[tuple[RoutePlan, int, int, int]] = []  # plan, dst, AP, seed
+        for table in (self._static, self._mobile):
+            for i, flow in enumerate(table):
+                src, dst = flow.pair
+                src_alive = [a for a in self.graph.aps_in_building(src) if alive[a]]
+                dst_islands = {
+                    int(labels[a]) for a in self.graph.aps_in_building(dst) if alive[a]
+                }
+                if any(int(labels[a]) in dst_islands for a in src_alive):
+                    reachable += 1
+                if flow.plan is None:
+                    continue
                 routable += 1
-            src_alive = [a for a in self.graph.aps_in_building(src) if alive[a]]
-            dst_islands = {
-                int(labels[a]) for a in self.graph.aps_in_building(dst) if alive[a]
-            }
-            flow_reachable = any(int(labels[a]) in dst_islands for a in src_alive)
-            if flow_reachable:
-                reachable += 1
-            if plan is None or not src_alive:
-                return
-            # Source failover: the building's first alive AP sends.
-            trials.append(
-                ScenarioFlowTrial(
-                    src_building=src,
-                    dst_building=dst,
-                    source_ap=src_alive[0],
-                    waypoint_ids=plan.waypoint_ids,
-                    conduit_width=spec.world.conduit_width,
-                    seed=seed,
-                )
-            )
-
-        for i, (src, dst) in enumerate(self.flows):
-            score_flow(
-                src,
-                dst,
-                self._plans[i],
-                seed_for(
-                    spec.world.seed,
-                    epoch * len(self.flows) + i,
-                    self._flow_stream,
-                ),
-            )
-        for j, pair in enumerate(self._mobile_pairs):
-            assert pair is not None  # set by _refresh_mobile_plans
-            score_flow(
-                pair[0],
-                pair[1],
-                self._mobile_plans[j],
-                seed_for(
-                    spec.world.seed,
-                    epoch * len(self._mobile_pairs) + j,
-                    self._mobile_flow_stream,
-                ),
-            )
-
-        # The epoch's flows run as ONE batch item so the world is
-        # frozen (CSR, dead mask, verdict bitmaps) once.
-        if spec.congestion is not None:
-            batch = ScenarioEpochBatch(
-                graph=self.graph,
-                dead_aps=dead,
-                trials=tuple(trials),
-                congestion_window_s=spec.congestion.window_s,
-                congestion_frame_s=spec.congestion.frame_time_s,
-                congestion_seed=seed_for(
-                    spec.world.seed, epoch, spec.stream() + ":congestion"
-                ),
-            )
-        else:
-            batch = ScenarioEpochBatch(
-                graph=self.graph, dead_aps=dead, trials=tuple(trials)
-            )
-        with span("scenario.simulate", epoch=epoch, flows=len(trials)):
-            outcomes = (
-                self._runner.map(scenario_epoch_batch, [batch], world=self.world)[0]
-                if trials
-                else []
-            )
+                if src_alive:
+                    seed = seed_for(
+                        spec.world.seed, epoch * len(table) + i, flow.stream
+                    )
+                    sends.append((flow.plan, dst, src_alive[0], seed))
+        with span("scenario.simulate", epoch=epoch, flows=len(sends)):
+            outcomes = self._broadcast(epoch, alive, sends) if sends else []
         delivered = sum(1 for ok, _tx in outcomes if ok)
         transmissions = sum(tx for _ok, tx in outcomes)
+        return routable, reachable, len(sends), delivered, transmissions
 
+    def _broadcast(
+        self,
+        epoch: int,
+        alive: np.ndarray,
+        sends: list[tuple[RoutePlan, int, int, int]],
+    ) -> list[tuple[bool, int]]:
+        """(delivered, transmissions) per send, in order.
+
+        In private air each flow's result depends only on its own seed.
+        With a congestion window the flows share the air: each is
+        injected at an instant drawn from its own seed, and the
+        collision jitter comes from the epoch's congestion stream.
+        """
+        spec = self.spec
+        city = self.world.city
+        flows = [
+            FlowSpec(
+                source_ap=source_ap,
+                dest_building=dst,
+                policy=ConduitPolicy(plan.conduits, city),
+                rng=random.Random(seed),
+            )
+            for plan, dst, source_ap, seed in sends
+        ]
+        dead = frozenset(np.flatnonzero(~alive).tolist())
+        congestion = spec.congestion
+        if congestion is None:
+            results = simulate_broadcast_batch(self.graph, flows, dead_aps=dead)
+            return [(r.delivered, r.transmissions) for r in results]
+        window = congestion.window_s
+        start_times = [
+            random.Random(seed).uniform(0.0, window) if window > 0 else 0.0
+            for *_rest, seed in sends
+        ]
+        frame = congestion.frame_time_s
+        outcomes = simulate_traffic_batch(
+            self.graph,
+            flows,
+            start_times,
+            random.Random(seed_for(spec.world.seed, epoch, spec.stream() + ":congestion")),
+            frame_time_s=frame if frame is not None else DEFAULT_TX_DELAY_S,
+            dead_aps=dead,
+        )
+        return [(o.delivered, o.transmissions) for o in outcomes]
+
+    def _step(self, epoch: int) -> EpochReport:
+        spec = self.spec
+        bg = self.world.building_graph
+        before = bg.stats()
+        fired, removals, links, deployed = self._events(epoch)
+        mutated = self._patch(epoch, removals, links)
+        replans = self._replan(epoch)
+        alive, labels, sizes = self._islands(epoch)
+        routable, reachable, simulated, delivered, transmissions = self._simulate(
+            epoch, alive, labels
+        )
         after = bg.stats()
-        reported_islands = int(np.count_nonzero(sizes >= spec.min_island_size))
+        flows = len(self._static) + len(self._mobile)
         return EpochReport(
             epoch=epoch,
             hour=epoch * spec.epoch_hours,
             events=tuple(fired),
-            alive_aps=alive_count,
+            alive_aps=int(np.count_nonzero(alive)),
             total_aps=len(self.graph.aps),
-            islands=reported_islands,
+            islands=int(np.count_nonzero(sizes >= spec.min_island_size)),
             largest_island=int(sizes.max()) if sizes.size else 0,
             graph_version=bg.version,
             mutated=mutated,
-            deployed_aps=deployed_now,
+            deployed_aps=deployed,
             replans=replans,
-            flows=len(self.flows) + len(self._mobile_pairs),
+            flows=flows,
             routable_flows=routable,
             reachable_flows=reachable,
-            simulated_flows=len(trials),
+            simulated_flows=simulated,
             delivered_flows=delivered,
-            delivery_rate=delivered
-            / (len(self.flows) + len(self._mobile_pairs)),
+            delivery_rate=delivered / flows,
             transmissions=transmissions,
             route_cache_hits=int(after["route_cache_hits"] - before["route_cache_hits"]),
             route_cache_misses=int(
@@ -712,7 +606,7 @@ buildings_along` stretches each walk over the timeline and snaps every
             config=self.spec.stream(), seed=self.spec.world.seed
         )
         reports: list[EpochReport] = []
-        self.epoch_wall_s: list[float] = []
+        self.epoch_wall_s = []
         with span("scenario.run", scenario=self.spec.name):
             for e in range(self.spec.epochs):
                 with span("scenario.epoch", epoch=e):
@@ -727,16 +621,14 @@ buildings_along` stretches each walk over the timeline and snaps every
             city=self.spec.world.city_name,
             seed=self.spec.world.seed,
             epoch_hours=self.spec.epoch_hours,
-            flow_count=len(self.flows) + len(self._mobile_pairs),
+            flow_count=len(self._static) + len(self._mobile),
             initial_aps=len(self.world.graph.aps),
             epochs=tuple(reports),
             manifest=manifest.finish().to_dict(),
         )
 
 
-def run_scenario(
-    spec: ScenarioSpec, runner: TrialRunner | None = None
-) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Convenience wrapper: drive a spec to its result."""
-    with ScenarioDriver(spec, runner=runner) as driver:
+    with ScenarioDriver(spec) as driver:
         return driver.run()
